@@ -17,22 +17,19 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .bounds import BoundReport, compare, hoffman_finite, read_edge_list
+from .bounds import CERTIFIED, SCANNED, BoundReport, compare, hoffman_finite, read_edge_list
 from .errors import (
     DomainError,
     EdgeListError,
     EdgelessGraphError,
     PreconditionViolation,
-    StepSizeUnderflow,
     ToleranceNotReached,
 )
 from .geometry import Point
 from .quadrature import QuadratureSpec
 from .spectrum import REFINE_XTOL, scan_principal, verify_eigenfunction
-from .spherical import SpectralParameter, eigenvalue, envelope, principal_grid
+from .spherical import SpectralParameter, eigenvalue, envelope
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,8 +40,6 @@ EXIT_VERIFY_FAILED = 5
 CONFIG_ENV_VAR = "SPECTRAL_CHROMA_CONFIG"
 VERIFY_THRESHOLD = 1e-6
 
-CERTIFIED = "certified-analytic"
-SCANNED = "numerical-scan"
 FORMULA = "formula"
 
 _CONFIG_KEYS = {
@@ -176,9 +171,7 @@ def _cmd_scan(args) -> int:
     print("# " + json.dumps(record, separators=(",", ":")))
     print("s,value")
     if not summary.degenerate:
-        grid = np.arange(0.0, summary.s_max_scanned + 0.5 * summary.grid_step, summary.grid_step)
-        values = principal_grid(grid, args.r, quad)
-        for s, v in zip(grid, values):
+        for s, v in zip(summary.grid, summary.grid_values):
             print(f"{float(s)!r},{float(v)!r}")
     return EXIT_OK
 
@@ -354,9 +347,6 @@ def main(argv=None) -> int:
     except ToleranceNotReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except StepSizeUnderflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ class ToleranceNotReached(RuntimeError):
     """Subdivision budget exhausted before the quadrature target was met."""
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(DomainError):
     """ODE integration requested outside its supported parameter range."""
 
 

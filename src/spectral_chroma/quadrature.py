@@ -99,6 +99,8 @@ _EPS = float(np.finfo(float).eps)
 def panel_rule(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray):
     """Kronrod values and error estimates for a batch of panels.
 
+    f maps the (panels, 15) nodes to values of shape (..., panels, 15) whose
+    leading axes are items sharing the panels; results are per item and panel.
     The per-panel estimate is the classic sharpened difference
     min(|K15-G7|, (200*|K15-G7|)^1.5), floored at the round-off level
     50*eps*int|f| so an estimate of zero can never fake convergence to an
@@ -116,20 +118,36 @@ def panel_rule(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights:
     return kron, err
 
 
+def initial_panels(width: float, max_panel_width: float, max_subdivisions: int) -> int:
+    """Uniform panel count ceil(width / max_panel_width), at least 1.
+
+    The count is checked against the subdivision budget before anything is
+    allocated, so a panel cap far below the interval raises
+    ToleranceNotReached instead of building an array sized by the input.
+    """
+    ratio = width / max_panel_width if max_panel_width > 0.0 else math.inf
+    if not ratio <= max_subdivisions:
+        raise ToleranceNotReached(
+            f"{ratio:.3e} initial panels exceed the subdivision budget {max_subdivisions}"
+        )
+    return max(1, math.ceil(ratio))
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     abs_tol: float,
     max_subdivisions: int,
-    max_panel_width: float | None = None,
+    max_panel_width: float = math.inf,
 ) -> tuple[float, float, int]:
     """Integrate f over [a, b] to the given absolute tolerance.
 
     f must map a numpy array of abscissae to an array of the same shape.
-    Panels start uniform, capped at max_panel_width; panels holding more
-    than their width-proportional share of the error budget are bisected
-    until the total estimate fits or the subdivision budget runs out.
+    Panels start uniform, capped at max_panel_width, and their count may
+    not exceed max_subdivisions; panels holding more than their
+    width-proportional share of the error budget are bisected until the
+    total estimate fits or the subdivision budget runs out.
 
     Returns (value, error_estimate, subdivisions).
     Raises ToleranceNotReached when the budget is exhausted.
@@ -137,9 +155,7 @@ def integrate(
     if b <= a:
         return 0.0, 0.0, 0
     width = b - a
-    n0 = 1
-    if max_panel_width is not None and max_panel_width < width:
-        n0 = int(math.ceil(width / max_panel_width))
+    n0 = initial_panels(width, max_panel_width, max_subdivisions)
     edges = np.linspace(a, b, n0 + 1)
     lefts, rights = edges[:-1], edges[1:]
     vals, errs = panel_rule(f, lefts, rights)

@@ -10,20 +10,24 @@ single reducer with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import ORIGIN, Point, circle_point, distance
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
-from .spherical import SpectralParameter, eigenvalue, envelope, principal_grid
+from .spherical import SpectralParameter, _eigenvalue_batch, eigenvalue, envelope, principal_grid
 
 # below this, scanned values are indistinguishable from quadrature noise
 _DEGENERATE_FLOOR = 1e-12
 
 #: golden-section refinement width in s
 REFINE_XTOL = 1e-9
+
+#: scan grids and circle samples beyond this many points are rejected
+#: before anything is allocated
+MAX_BATCH_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,8 @@ class SpectrumSummary:
     function is an eigenfunction with eigenvalue 1, while the plane itself
     has sup strictly below 1; the bound pipeline uses the quotient value.
     m_numeric is the scanned (uncertified) minimum; m_analytic the
-    certified floor -(r+1)exp(-r/2).
+    certified floor -(r+1)exp(-r/2).  grid and grid_values hold the scanned
+    grid and its eigenvalues (None when degenerate).
     """
 
     r: float
@@ -45,6 +50,8 @@ class SpectrumSummary:
     s_max_scanned: float
     grid_step: float
     degenerate: bool = False
+    grid: np.ndarray | None = field(default=None, compare=False, repr=False)
+    grid_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def default_s_max(r: float) -> float:
@@ -90,6 +97,10 @@ def scan_principal(
         raise DomainError(f"s_max < 1 would make the scan vacuous, got {s_max}")
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise DomainError(f"grid_step must be positive, got {grid_step}")
+    if not s_max / grid_step <= MAX_BATCH_POINTS:
+        raise DomainError(
+            f"scan grid of {s_max / grid_step:.3e} points exceeds the supported {MAX_BATCH_POINTS}"
+        )
 
     env = envelope(r)
     m_analytic = -env
@@ -111,7 +122,7 @@ def scan_principal(
 
     return SpectrumSummary(
         r=r, M=1.0, m_numeric=m_refined, m_analytic=m_analytic, argmin_s=argmin_s,
-        s_max_scanned=float(s_max), grid_step=float(grid_step),
+        s_max_scanned=float(s_max), grid_step=float(grid_step), grid=grid, grid_values=values,
     )
 
 
@@ -140,18 +151,17 @@ def verify_eigenfunction(
     result is compared with eigenvalue(param, r) * phi(base).  Equal angle
     steps realize the rotation-invariant measure, so this is a trapezoid
     rule on a smooth periodic integrand and the residual decays spectrally
-    in n_points.
+    in n_points.  All n_points + 2 eigenvalues come from one batch call.
     """
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
+    if n_points > MAX_BATCH_POINTS:
+        raise DomainError(f"n_points {n_points} exceeds the supported {MAX_BATCH_POINTS}")
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"verification needs r > 0, got {r}")
 
     step = 2.0 * math.pi / n_points
-    total = 0.0
-    for j in range(n_points):
-        z = circle_point(base, r, j * step)
-        total += eigenvalue(param, distance(z, ORIGIN), quad)
-    average = total / n_points
-    expected = eigenvalue(param, r, quad) * eigenvalue(param, distance(base, ORIGIN), quad)
-    return abs(average - expected)
+    circle = [distance(circle_point(base, r, j * step), ORIGIN) for j in range(n_points)]
+    radii = np.array(circle + [r, distance(base, ORIGIN)])
+    lam = _eigenvalue_batch(param.kind, np.full(radii.size, param.value), radii, quad)
+    return abs(float(np.mean(lam[:n_points])) - float(lam[-2] * lam[-1]))

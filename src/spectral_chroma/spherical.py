@@ -30,14 +30,7 @@ from scipy.integrate import quad as _qags
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, StepSizeUnderflow
-from .quadrature import (
-    _NODES,
-    _WEIGHTS_GAUSS,
-    _WEIGHTS_KRONROD,
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    integrate,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, initial_panels, integrate, panel_rule
 
 _SQRT2_OVER_PI = math.sqrt(2.0) / math.pi
 
@@ -51,6 +44,9 @@ MAX_EVAL_RADIUS = 700.0
 ODE_MAX_S = 100.0
 ODE_MAX_R = 30.0
 _ODE_SEED_T = 1e-4
+
+# integrand values (items x panels x 15 nodes) the batch kernel holds at once
+_BLOCK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -160,6 +156,47 @@ def eigenvalue(param: SpectralParameter, r: float, quad: QuadratureSpec = DEFAUL
     return value
 
 
+def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec) -> np.ndarray:
+    """Eigenvalues of one kind for canonical parameters at one or per-item radii.
+
+    Each item is mapped onto t in [0, 1] by u = sqrt(r) t; all share uniform
+    panels sized for the largest sqrt(r) max(value, 1), so none is wider than
+    its scalar path would use.  Items whose estimate misses quad.abs_tol fall
+    back to the adaptive ``eigenvalue``; r = 0 gives the limit value 1.
+    """
+    radii = np.asarray(radii, dtype=float)
+    _check_radius(float(radii.min()))
+    _check_radius(float(radii.max()))
+    out = np.ones(values.shape)
+    live = np.nonzero(np.broadcast_to(radii > 0.0, values.shape))[0]
+    if live.size == 0:
+        return out
+    v, r = values[live], (radii if radii.ndim == 0 else radii[live])
+    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))),
+                              quad.oscillation_panel_factor * math.pi, quad.max_subdivisions)
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    kernel = np.cos if kind == PRINCIPAL else np.cosh
+    est, err = np.empty(v.size), np.empty(v.size)
+    per_block = max(1, _BLOCK_ELEMENTS // (15 * n_panels))
+    for start in range(0, v.size, per_block):
+        block = slice(start, start + per_block)
+        vb, rb = v[block, None, None], (r if r.ndim == 0 else r[block, None, None])
+
+        def integrand(t):
+            sqrt_r = np.sqrt(rb)
+            u = sqrt_r * t
+            return kernel(vb * (rb - u * u)) * (_SQRT2_OVER_PI * sqrt_r * _smooth_weight(u, rb))
+
+        kron, kerr = panel_rule(integrand, edges[:-1], edges[1:])
+        est[block], err[block] = kron.sum(axis=-1), kerr.sum(axis=-1)
+
+    r = np.broadcast_to(r, v.shape)
+    for i in np.nonzero(err > quad.abs_tol)[0]:
+        est[i] = eigenvalue(SpectralParameter(kind, float(v[i])), float(r[i]), quad)
+    out[live] = est
+    return out
+
+
 def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """Principal-series eigenvalues for a whole grid of s at one radius.
 
@@ -172,39 +209,7 @@ def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
         raise DomainError("s_values must be one-dimensional")
     if not np.all(np.isfinite(s)) or np.any(s < 0.0):
         raise DomainError("s grid must be finite and non-negative")
-    _check_radius(r)
-    if r == 0.0:
-        return np.ones_like(s)
-
-    sqrt_r = math.sqrt(r)
-    h_max = quad.oscillation_panel_factor * math.pi / max(float(s.max()), 1.0)
-    n_panels = max(1, int(math.ceil(sqrt_r / h_max)))
-    edges = np.linspace(0.0, sqrt_r, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    u_nodes = (mids[:, None] + halves[:, None] * _NODES[None, :]).ravel()
-    x_nodes = r - u_nodes * u_nodes
-    weight = _SQRT2_OVER_PI * _smooth_weight(u_nodes, r)
-
-    values = np.empty_like(s)
-    errors = np.empty_like(s)
-    eps = float(np.finfo(float).eps)
-    block = max(1, int(2_000_000 // max(x_nodes.size, 1)))
-    for start in range(0, s.size, block):
-        sb = s[start:start + block]
-        fv = np.cos(sb[:, None] * x_nodes[None, :]) * weight[None, :]
-        fv = fv.reshape(sb.size, n_panels, _NODES.size)
-        kron = (fv @ _WEIGHTS_KRONROD) * halves[None, :]
-        gauss = (fv @ _WEIGHTS_GAUSS) * halves[None, :]
-        kron_abs = (np.abs(fv) @ _WEIGHTS_KRONROD) * halves[None, :]
-        raw = np.abs(kron - gauss)
-        err = np.maximum(np.minimum(raw, (200.0 * raw) ** 1.5), 50.0 * eps * kron_abs)
-        errors[start:start + block] = err.sum(axis=1)
-        values[start:start + block] = kron.sum(axis=1)
-
-    for i in np.nonzero(errors > quad.abs_tol)[0]:
-        values[i] = eigenvalue(SpectralParameter.principal(s[i]), r, quad)
-    return values
+    return _eigenvalue_batch(PRINCIPAL, s, r, quad)
 
 
 def _series_seed(lam: float, t: float) -> tuple[float, float]:

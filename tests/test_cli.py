@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from spectral_chroma import cli, spherical
 from spectral_chroma import (
     QuadratureSpec,
     SpectralParameter,
@@ -47,6 +49,12 @@ def run_cli(*args, env_extra=None):
         env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, *args):
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestEval:
@@ -300,3 +308,47 @@ class TestMisc:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate")[0] == 2
+
+
+class TestInProcess:
+    """main(argv) in this process, for checks that count calls or time."""
+
+    @pytest.fixture(autouse=True)
+    def _no_config(self, monkeypatch):
+        monkeypatch.delenv("SPECTRAL_CHROMA_CONFIG", raising=False)
+
+    def test_csv_scan_evaluates_its_grid_once(self, monkeypatch, capsys):
+        batches = []
+        batch = spherical._eigenvalue_batch
+        monkeypatch.setattr(spherical, "_eigenvalue_batch", lambda *a: batches.append(a) or batch(*a))
+        code, out, _ = run_main(capsys, "scan", "--r", "4", "--s-max", "2", "--step", "0.5", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2 + 5
+        assert len(batches) == 1
+
+    def test_initial_panel_budget_exits_3(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--r", "2", "--s", "1e300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget" in err
+
+    def test_oversized_scan_grid_exits_2(self, capsys):
+        code, out, err = run_main(capsys, "scan", "--r", "4", "--step", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--r", "4"),
+        ("verify", "--r", "1.5", "--s", "2", "--base", "0.7,2.0"),
+    ])
+    def test_unreachable_tolerance_exits_3_quickly(self, argv, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("abs_tol = 1e-30\n")
+        monkeypatch.setenv("SPECTRAL_CHROMA_CONFIG", str(cfg))
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, *argv)
+        assert code == 3
+        assert "budget" in err
+        assert time.perf_counter() - start < 5.0

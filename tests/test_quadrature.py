@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_chroma import DomainError, QuadratureSpec, ToleranceNotReached
-from spectral_chroma.quadrature import integrate
+from spectral_chroma.quadrature import integrate, panel_rule
 
 
 class TestIntegrate:
@@ -39,6 +39,25 @@ class TestIntegrate:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(ToleranceNotReached):
             integrate(lambda x: np.cos(3.0 * x), 0.0, 1.0, 1e-300, 8)
+
+    def test_initial_panels_count_against_budget(self):
+        # 1e300 initial panels are refused before any array is built
+        with pytest.raises(ToleranceNotReached, match="initial panels"):
+            integrate(np.sin, 0.0, 1.0, 1e-10, 100, max_panel_width=1e-300)
+        value, _, _ = integrate(np.sin, 0.0, 1.0, 1e-10, 4, max_panel_width=0.25)
+        assert value == pytest.approx(1.0 - math.cos(1.0), abs=1e-12)
+
+
+class TestPanelRule:
+    def test_leading_batch_axes(self):
+        edges = np.linspace(0.0, 2.0, 5)
+        freqs = np.array([1.0, 3.0, 7.0])
+        kron, err = panel_rule(lambda x: np.cos(freqs[:, None, None] * x), edges[:-1], edges[1:])
+        assert kron.shape == err.shape == (3, 4)
+        for k, w in enumerate(freqs):
+            single, single_err = panel_rule(lambda x: np.cos(w * x), edges[:-1], edges[1:])
+            np.testing.assert_array_equal(kron[k], single)
+            np.testing.assert_array_equal(err[k], single_err)
 
 
 class TestQuadratureSpec:

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import spectral_chroma.spectrum as spectrum
 from spectral_chroma import (
     ORIGIN,
     DomainError,
@@ -9,6 +11,7 @@ from spectral_chroma import (
     SpectralParameter,
     envelope,
     full_range_floor,
+    principal_grid,
     scan_principal,
     verify_eigenfunction,
 )
@@ -48,6 +51,17 @@ class TestScanPrincipal:
     def test_default_window(self):
         summary = scan_principal(0.5, s_max=None, grid_step=2.0)
         assert summary.s_max_scanned == 100.0
+
+    def test_keeps_its_grid(self):
+        summary = scan_principal(4.0, s_max=5.0, grid_step=0.5)
+        np.testing.assert_array_equal(summary.grid, np.arange(0.0, 5.25, 0.5))
+        np.testing.assert_array_equal(summary.grid_values, principal_grid(summary.grid, 4.0))
+        assert summary == scan_principal(4.0, s_max=5.0, grid_step=0.5)
+        assert scan_principal(80.0).grid_values is None
+
+    def test_grid_size_capped_before_allocation(self):
+        with pytest.raises(DomainError, match="scan grid"):
+            scan_principal(4.0, grid_step=1e-300)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -96,6 +110,20 @@ class TestVerifyEigenfunction:
         assert fine < coarse
         assert fine < 1e-6
         assert coarse > 1e-10  # genuinely under-resolved at n=64
+
+    def test_one_batch_call_and_no_scalar_calls(self, monkeypatch):
+        batches = []
+        batch = spectrum._eigenvalue_batch
+        monkeypatch.setattr(spectrum, "_eigenvalue_batch", lambda *a: batches.append(a) or batch(*a))
+        monkeypatch.setattr(spectrum, "eigenvalue", None)
+        res = verify_eigenfunction(SpectralParameter.principal(2.0), 1.5, Point(0.7, 2.0), 256)
+        assert res < 1e-6
+        assert len(batches) == 1
+        assert batches[0][2].size == 256 + 2
+
+    def test_rejects_n_over_cap(self):
+        with pytest.raises(DomainError, match="n_points"):
+            verify_eigenfunction(SpectralParameter.principal(1.0), 1.0, ORIGIN, spectrum.MAX_BATCH_POINTS + 1)
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_chroma import (
+    DEFAULT_QUADRATURE,
     DomainError,
     QuadratureSpec,
     SpectralParameter,
@@ -16,6 +17,7 @@ from spectral_chroma import (
     log_envelope,
     principal_grid,
 )
+from spectral_chroma.spherical import COMPLEMENTARY, PRINCIPAL, _eigenvalue_batch
 
 # Frozen references, computed with 40-digit arithmetic from two independent
 # high-precision routes (hypergeometric evaluation of the conical Legendre
@@ -138,6 +140,9 @@ class TestOdeOracle:
     def test_initial_condition_at_tiny_radius(self):
         assert eigenvalue_ode(SpectralParameter.principal(5.0), 1e-6) == pytest.approx(1.0, abs=1e-9)
 
+    def test_range_error_is_a_domain_error(self):
+        assert issubclass(StepSizeUnderflow, DomainError)
+
     def test_supported_window(self):
         with pytest.raises(StepSizeUnderflow):
             eigenvalue_ode(SpectralParameter.principal(101.0), 1.0)
@@ -170,6 +175,32 @@ class TestPrincipalGrid:
 
     def test_degenerate_radius(self):
         assert np.all(principal_grid([0.0, 1.0, 5.0], 0.0) == 1.0)
+
+    @pytest.mark.parametrize("kind,values,radii", [
+        (PRINCIPAL, [0.0, 1.0, 5.0, 20.0, 2.0, 0.5, 40.0], [0.0, 2.0, 1.0, 4.0, 0.0, 7.0, 0.3]),
+        (COMPLEMENTARY, [0.0, 0.3, 0.5, 0.25, 0.1, 0.45], [0.5, 0.0, 3.0, 10.0, 30.0, 1e-6]),
+        # one shared panel misses abs_tol here, so both live items fall back
+        (PRINCIPAL, [0.5, 0.0, 1.0], [1.5, 2.3, 0.0]),
+    ])
+    def test_mixed_radius_batch(self, kind, values, radii):
+        mpmath = pytest.importorskip("mpmath")
+        batch = _eigenvalue_batch(kind, np.array(values), np.array(radii), DEFAULT_QUADRATURE)
+        for v, r, got in zip(values, radii, batch):
+            single = eigenvalue(SpectralParameter(kind, v), r)
+            assert abs(got - single) <= DEFAULT_QUADRATURE.abs_tol
+            degree = mpmath.mpc(-0.5, v) if kind == PRINCIPAL else mpmath.mpf(-0.5) + v
+            with mpmath.workdps(30):
+                ref = float(mpmath.re(mpmath.legenp(degree, 0, mpmath.cosh(r), type=3)))
+            assert abs(got - ref) <= 1e-10
+
+    def test_batch_checks_every_radius(self):
+        for bad in (-1.0, math.nan, 701.0):
+            with pytest.raises(DomainError):
+                _eigenvalue_batch(PRINCIPAL, np.ones(3), np.array([1.0, bad, 2.0]), DEFAULT_QUADRATURE)
+
+    def test_panel_count_counts_against_budget(self):
+        with pytest.raises(ToleranceNotReached, match="initial panels"):
+            principal_grid([0.0, 1e300], 2.0)
 
 
 class TestEnvelope:
