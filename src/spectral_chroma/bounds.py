@@ -274,7 +274,7 @@ def parse_edge_list(lines: Iterable[str]) -> np.ndarray:
     self-loops and malformed lines are rejected with their line number.
     """
     declared: int | None = None
-    edges: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
     seen_content = False
     for line_no, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -291,6 +291,8 @@ def parse_edge_list(lines: Iterable[str]) -> np.ndarray:
                 raise EdgeListError(line_no, f"vertex count {tokens[1]!r} is not an integer") from None
             if declared < 0:
                 raise EdgeListError(line_no, f"vertex count must be non-negative, got {declared}")
+            if declared > MAX_EIGENSOLVE_N:
+                raise EdgeListError(line_no, f"vertex count {declared} exceeds the supported n <= {MAX_EIGENSOLVE_N}")
             continue
         seen_content = True
         if len(tokens) != 2:
@@ -303,15 +305,16 @@ def parse_edge_list(lines: Iterable[str]) -> np.ndarray:
             raise EdgeListError(line_no, f"vertex ids must be non-negative, got {u} {v}")
         if u == v:
             raise EdgeListError(line_no, f"self-loop at vertex {u}")
-        edges.append((line_no, u, v))
+        top = max(u, v)
+        if declared is not None and top >= declared:
+            raise EdgeListError(line_no, f"vertex id {top} outside declared count {declared}")
+        if top >= MAX_EIGENSOLVE_N:
+            raise EdgeListError(line_no, f"vertex id {top} exceeds the supported n <= {MAX_EIGENSOLVE_N}")
+        edges.append((u, v))
 
-    n = declared if declared is not None else (max((max(u, v) for _, u, v in edges), default=-1) + 1)
-    if n > MAX_EIGENSOLVE_N:
-        raise EdgeListError(0, f"vertex count {n} exceeds the supported n <= {MAX_EIGENSOLVE_N}")
+    n = declared if declared is not None else (max((max(e) for e in edges), default=-1) + 1)
     A = np.zeros((n, n))
-    for line_no, u, v in edges:
-        if u >= n or v >= n:
-            raise EdgeListError(line_no, f"vertex id {max(u, v)} outside declared count {n}")
+    for u, v in edges:
         A[u, v] = A[v, u] = 1.0
     return A
 

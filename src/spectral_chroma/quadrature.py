@@ -1,9 +1,10 @@
-"""Adaptive Gauss-Kronrod panel quadrature for smooth vectorized integrands.
+"""Batched Gauss-Kronrod panel quadrature for smooth vectorized integrands.
 
 The 7/15 pair gives an error estimate at no extra cost: the 7-point Gauss
 nodes are embedded in the 15-point Kronrod rule, so one batch of function
-values yields both the panel integral and the difference used to decide
-which panels to bisect.
+values yields both the panel integrals and the difference that decides
+which items ``integrate``, the one algorithm here, evaluates again on
+twice as many panels.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ _WEIGHTS_GAUSS = np.array([
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error budget and panel policy for the adaptive integrator."""
+    """Error budget and panel policy for the integrator."""
 
     abs_tol: float = 1e-10
     max_subdivisions: int = 65536
@@ -94,6 +95,9 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 _EPS = float(np.finfo(float).eps)
+
+# integrand values (items x panels x 15 nodes) held at once
+_BLOCK_ELEMENTS = 65_536
 
 
 def panel_rule(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray):
@@ -134,59 +138,47 @@ def initial_panels(width: float, max_panel_width: float, max_subdivisions: int) 
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_items: int,
+    n_panels: int,
     abs_tol: float,
     max_subdivisions: int,
-    max_panel_width: float = math.inf,
-) -> tuple[float, float, int]:
-    """Integrate f over [a, b] to the given absolute tolerance.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integrate a batch of n_items integrands over t in [0, 1].
 
-    f must map a numpy array of abscissae to an array of the same shape.
-    Panels start uniform, capped at max_panel_width, and their count may
-    not exceed max_subdivisions; panels holding more than their
-    width-proportional share of the error budget are bisected until the
-    total estimate fits or the subdivision budget runs out.
+    f(items, t) maps an index array of items and the (panels, 15) nodes to
+    values of shape (len(items), panels, 15).  All items start on the same
+    n_panels uniform panels; an item whose summed estimate misses abs_tol
+    is evaluated again on twice as many, in blocks of _BLOCK_ELEMENTS
+    integrand values, until every item fits.  Refinement may add at most
+    max_subdivisions panels beyond n_panels, and an item whose round-off
+    floor 50*eps*sum|K15| already exceeds abs_tol fails at once.
 
-    Returns (value, error_estimate, subdivisions).
+    Returns (values, error_estimates, panels of the finest pass).
     Raises ToleranceNotReached when the budget is exhausted.
     """
-    if b <= a:
-        return 0.0, 0.0, 0
-    width = b - a
-    n0 = initial_panels(width, max_panel_width, max_subdivisions)
-    edges = np.linspace(a, b, n0 + 1)
-    lefts, rights = edges[:-1], edges[1:]
-    vals, errs = panel_rule(f, lefts, rights)
-
-    splits = 0
-    while errs.sum() > abs_tol:
-        shares = abs_tol * (rights - lefts) / width
-        mask = errs > shares
-        if not mask.any():
-            mask = errs == errs.max()
-        # splitting a panel narrower than the local float spacing is a no-op
-        splittable = (rights - lefts) > 8.0 * np.spacing(np.abs(rights))
-        mask &= splittable
-        if not mask.any():
-            raise ToleranceNotReached(
-                f"panel widths at float resolution with error {errs.sum():.3e} > abs_tol {abs_tol:.3e}"
-            )
-        splits += int(mask.sum())
-        if splits > max_subdivisions:
+    values, errors = np.empty(n_items), np.empty(n_items)
+    todo = np.arange(n_items)
+    panels = n_panels
+    while True:
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        per_block = max(1, _BLOCK_ELEMENTS // (15 * panels))
+        for start in range(0, todo.size, per_block):
+            items = todo[start:start + per_block]
+            kron, err = panel_rule(lambda t: f(items, t), edges[:-1], edges[1:])
+            values[items], errors[items] = kron.sum(axis=-1), err.sum(axis=-1)
+            floor = 50.0 * _EPS * np.abs(kron).sum(axis=-1).max()
+            if floor > abs_tol:
+                raise ToleranceNotReached(
+                    f"round-off floor {floor:.3e} exceeds abs_tol {abs_tol:.3e}; "
+                    "no subdivision budget reaches it"
+                )
+        todo = todo[errors[todo] > abs_tol]
+        if todo.size == 0:
+            return values, errors, panels
+        if 2 * panels - n_panels > max_subdivisions:
             raise ToleranceNotReached(
                 f"subdivision budget {max_subdivisions} exhausted with error "
-                f"{errs.sum():.3e} > abs_tol {abs_tol:.3e}"
+                f"{errors[todo].max():.3e} > abs_tol {abs_tol:.3e}"
             )
-        l_split, r_split = lefts[mask], rights[mask]
-        m_split = 0.5 * (l_split + r_split)
-        new_lefts = np.concatenate([lefts[~mask], l_split, m_split])
-        new_rights = np.concatenate([rights[~mask], m_split, r_split])
-        new_vals, new_errs = panel_rule(f, np.concatenate([l_split, m_split]),
-                                        np.concatenate([m_split, r_split]))
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        lefts, rights = new_lefts, new_rights
-
-    return float(vals.sum()), float(errs.sum()), splits
+        panels *= 2

@@ -8,8 +8,9 @@ module evaluates it three independent ways:
                               sqrt(2)/pi * int_0^r k(x)/sqrt(cosh r - cosh x) dx
                               with kernel k(x) = cos(s x) on the principal
                               series and cosh(sigma x) on the complementary
-                              series, desingularized by x = r - u^2 and
-                              integrated with adaptive Gauss-Kronrod panels;
+                              series, desingularized by x = r - u^2 with
+                              u = sqrt(r) t and integrated over t in [0, 1]
+                              by the batched Gauss-Kronrod ``integrate``;
 * ``eigenvalue_ode``       -- the radial differential equation
                               u'' + coth(t) u' + lam u = 0, u(0) = 1, u'(0) = 0;
 * ``eigenvalue_scaled_form`` -- the rescaled integral over [0, 1], left in
@@ -30,7 +31,7 @@ from scipy.integrate import quad as _qags
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, StepSizeUnderflow
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, initial_panels, integrate, panel_rule
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, initial_panels, integrate
 
 _SQRT2_OVER_PI = math.sqrt(2.0) / math.pi
 
@@ -44,9 +45,6 @@ MAX_EVAL_RADIUS = 700.0
 ODE_MAX_S = 100.0
 ODE_MAX_R = 30.0
 _ODE_SEED_T = 1e-4
-
-# integrand values (items x panels x 15 nodes) the batch kernel holds at once
-_BLOCK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -108,15 +106,18 @@ def _sinhc(w: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + w * w / 6.0, np.sinh(safe) / safe)
 
 
-def _smooth_weight(u: np.ndarray, r: float) -> np.ndarray:
-    """Weight of the desingularized integrand.
+def _smooth_weight(t: np.ndarray, r) -> np.ndarray:
+    """Weight of the desingularized integrand on t in [0, 1].
 
-    After x = r - u^2, dx/sqrt(cosh r - cosh x) becomes w(u) du with
-    w(u) = 2 / sqrt(sinh(r - u^2/2) * sinhc(u^2/2)), using
-    cosh r - cosh x = 2 sinh((r+x)/2) sinh((r-x)/2) to dodge cancellation.
+    After x = r - u^2 and u = sqrt(r) t, dx/sqrt(cosh r - cosh x) becomes
+    w(t) dt with w(t) = 2 / sqrt((1 - h) sinhc(r (1 - h)) sinhc(r h)) and
+    h = t^2/2, using cosh r - cosh x = 2 sinh((r+x)/2) sinh((r-x)/2) to
+    dodge cancellation.  No factor sqrt(r) is formed, so even subnormal
+    radii keep full precision.
     """
-    w = 0.5 * u * u
-    return 2.0 / np.sqrt(np.sinh(r - w) * _sinhc(w))
+    h = 0.5 * t * t
+    a = r * (1.0 - h)
+    return 2.0 / np.sqrt((1.0 - h) * (np.sinh(a) / a) * _sinhc(r * h))
 
 
 def _check_radius(r: float):
@@ -133,36 +134,18 @@ def eigenvalue(param: SpectralParameter, r: float, quad: QuadratureSpec = DEFAUL
     """Averaging-operator eigenvalue at spectral parameter ``param``, radius r.
 
     Absolute error is bounded by quad.abs_tol.  The limit value 1 is
-    returned for r = 0 (degenerate circle).  Panel widths are capped at
-    oscillation_panel_factor * pi / max(s, 1) so each panel sees a bounded
-    stretch of the oscillation; the budget is policed by quad.
+    returned for r = 0 (degenerate circle).  This is a batch of one.
     """
-    _check_radius(r)
-    if r == 0.0:
-        return 1.0
-    if param.kind == PRINCIPAL:
-        s = param.value
-        kernel = lambda x: np.cos(s * x)
-        h_max = quad.oscillation_panel_factor * math.pi / max(s, 1.0)
-    else:
-        sigma = param.value
-        kernel = lambda x: np.cosh(sigma * x)
-        h_max = quad.oscillation_panel_factor * math.pi
-
-    def integrand(u):
-        return _SQRT2_OVER_PI * kernel(r - u * u) * _smooth_weight(u, r)
-
-    value, _, _ = integrate(integrand, 0.0, math.sqrt(r), quad.abs_tol, quad.max_subdivisions, h_max)
-    return value
+    return float(_eigenvalue_batch(param.kind, np.array([param.value]), r, quad)[0])
 
 
 def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec) -> np.ndarray:
     """Eigenvalues of one kind for canonical parameters at one or per-item radii.
 
-    Each item is mapped onto t in [0, 1] by u = sqrt(r) t; all share uniform
-    panels sized for the largest sqrt(r) max(value, 1), so none is wider than
-    its scalar path would use.  Items whose estimate misses quad.abs_tol fall
-    back to the adaptive ``eigenvalue``; r = 0 gives the limit value 1.
+    All items start on uniform panels in t = u / sqrt(r), none wider in u
+    than oscillation_panel_factor * pi / max(value, 1) for any item, so each
+    sees a bounded stretch of the oscillation; ``integrate`` doubles the
+    panels of items that miss quad.abs_tol.  r = 0 gives the limit value 1.
     """
     radii = np.asarray(radii, dtype=float)
     _check_radius(float(radii.min()))
@@ -174,35 +157,22 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     v, r = values[live], (radii if radii.ndim == 0 else radii[live])
     n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))),
                               quad.oscillation_panel_factor * math.pi, quad.max_subdivisions)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
     kernel = np.cos if kind == PRINCIPAL else np.cosh
-    est, err = np.empty(v.size), np.empty(v.size)
-    per_block = max(1, _BLOCK_ELEMENTS // (15 * n_panels))
-    for start in range(0, v.size, per_block):
-        block = slice(start, start + per_block)
-        vb, rb = v[block, None, None], (r if r.ndim == 0 else r[block, None, None])
 
-        def integrand(t):
-            sqrt_r = np.sqrt(rb)
-            u = sqrt_r * t
-            return kernel(vb * (rb - u * u)) * (_SQRT2_OVER_PI * sqrt_r * _smooth_weight(u, rb))
+    def integrand(items, t):
+        rb = r if r.ndim == 0 else r[items, None, None]
+        return kernel(v[items, None, None] * rb * ((1.0 - t) * (1.0 + t))) * (
+            _SQRT2_OVER_PI * _smooth_weight(t, rb))
 
-        kron, kerr = panel_rule(integrand, edges[:-1], edges[1:])
-        est[block], err[block] = kron.sum(axis=-1), kerr.sum(axis=-1)
-
-    r = np.broadcast_to(r, v.shape)
-    for i in np.nonzero(err > quad.abs_tol)[0]:
-        est[i] = eigenvalue(SpectralParameter(kind, float(v[i])), float(r[i]), quad)
-    out[live] = est
+    out[live] = integrate(integrand, v.size, n_panels, quad.abs_tol, quad.max_subdivisions)[0]
     return out
 
 
 def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """Principal-series eigenvalues for a whole grid of s at one radius.
 
-    The non-oscillatory weight is shared across the grid on panels sized
-    for the largest s; any grid point whose Kronrod-Gauss estimate misses
-    quad.abs_tol falls back to the fully adaptive single-point path.
+    The grid shares panels sized for the largest s; grid points whose
+    Kronrod-Gauss estimate misses quad.abs_tol are refined on their own.
     """
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     if s.ndim != 1:

@@ -314,6 +314,16 @@ class TestEdgeList:
             parse_edge_list(["0 1", "", "2 2"])
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("lines,line_no", [
+        (["n 5000", "0 1"], 1),
+        (["0 1", "# big", "5 2000", "x"], 3),
+        (["n 3", "0 1", "1 3", "x"], 3),
+    ])
+    def test_caps_report_the_offending_line(self, lines, line_no):
+        with pytest.raises(EdgeListError) as exc:
+            parse_edge_list(lines)
+        assert exc.value.line_no == line_no
+
     def test_empty_graph_flows_to_edgeless(self):
         A = parse_edge_list(["n 3"])
         with pytest.raises(EdgelessGraphError):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from spectral_chroma import cli, spherical
+from spectral_chroma import cli, spectrum
 from spectral_chroma import (
     QuadratureSpec,
     SpectralParameter,
@@ -318,13 +318,12 @@ class TestInProcess:
         monkeypatch.delenv("SPECTRAL_CHROMA_CONFIG", raising=False)
 
     def test_csv_scan_evaluates_its_grid_once(self, monkeypatch, capsys):
-        batches = []
-        batch = spherical._eigenvalue_batch
-        monkeypatch.setattr(spherical, "_eigenvalue_batch", lambda *a: batches.append(a) or batch(*a))
+        grids = []
+        monkeypatch.setattr(spectrum, "principal_grid", lambda *a: grids.append(a) or principal_grid(*a))
         code, out, _ = run_main(capsys, "scan", "--r", "4", "--s-max", "2", "--step", "0.5", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 5
-        assert len(batches) == 1
+        assert len(grids) == 1
 
     def test_initial_panel_budget_exits_3(self, capsys):
         code, out, err = run_main(capsys, "eval", "--r", "2", "--s", "1e300")

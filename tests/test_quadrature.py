@@ -4,48 +4,88 @@ import numpy as np
 import pytest
 
 from spectral_chroma import DomainError, QuadratureSpec, ToleranceNotReached
-from spectral_chroma.quadrature import integrate, panel_rule
+from spectral_chroma import quadrature
+from spectral_chroma.quadrature import initial_panels, integrate, panel_rule
+
+
+def single(g):
+    """A batch of one item whose integrand is g(t)."""
+    return lambda items, t: np.broadcast_to(g(t), (items.size,) + t.shape)
 
 
 class TestIntegrate:
     def test_polynomial(self):
-        value, err, _ = integrate(lambda x: x * x, 0.0, 1.0, 1e-12, 100)
-        assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert err <= 1e-12
+        values, errs, _ = integrate(single(lambda t: t * t), 1, 1, 1e-12, 100)
+        assert values[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert errs[0] <= 1e-12
 
     def test_sine_hump(self):
-        value, _, _ = integrate(np.sin, 0.0, math.pi, 1e-12, 1000)
-        assert value == pytest.approx(2.0, abs=1e-12)
+        values, _, _ = integrate(single(lambda t: math.pi * np.sin(math.pi * t)), 1, 1, 1e-12, 1000)
+        assert values[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_oscillatory_with_panel_cap(self):
         s = 50.0
-        value, _, _ = integrate(lambda x: np.cos(s * x), 0.0, 1.0, 1e-12, 10000,
-                                max_panel_width=0.5 * math.pi / s)
-        assert value == pytest.approx(math.sin(s) / s, abs=1e-12)
+        n_panels = initial_panels(1.0, 0.5 * math.pi / s, 10000)
+        values, _, _ = integrate(single(lambda t: np.cos(s * t)), 1, n_panels, 1e-12, 10000)
+        assert values[0] == pytest.approx(math.sin(s) / s, abs=1e-12)
 
     def test_steep_exponential_adapts(self):
-        value, _, splits = integrate(lambda x: np.exp(-40.0 * x), 0.0, 5.0, 1e-12, 10000)
-        assert value == pytest.approx((1.0 - math.exp(-200.0)) / 40.0, rel=1e-11)
-        assert splits > 0
+        # exp(-40 x) on [0, 5], rescaled to [0, 1]
+        values, _, panels = integrate(single(lambda t: 5.0 * np.exp(-200.0 * t)), 1, 1, 1e-12, 10000)
+        assert values[0] == pytest.approx((1.0 - math.exp(-200.0)) / 40.0, rel=1e-11)
+        assert panels > 1
 
     def test_error_estimate_is_honest(self):
-        value, err, _ = integrate(lambda x: np.cos(7.0 * x) * np.exp(x), 0.0, 2.0, 1e-10, 10000)
+        # cos(7 x) exp(x) on [0, 2], rescaled to [0, 1]
+        values, errs, _ = integrate(single(lambda t: 2.0 * np.cos(14.0 * t) * np.exp(2.0 * t)),
+                                    1, 1, 1e-10, 10000)
         exact = (math.exp(2.0) * (math.cos(14.0) + 7.0 * math.sin(14.0)) - 1.0) / 50.0
-        assert abs(value - exact) <= max(err, 1e-10)
-
-    def test_empty_interval(self):
-        assert integrate(np.sin, 1.0, 1.0, 1e-10, 10)[0] == 0.0
+        assert abs(values[0] - exact) <= max(errs[0], 1e-10)
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(ToleranceNotReached):
-            integrate(lambda x: np.cos(3.0 * x), 0.0, 1.0, 1e-300, 8)
+        # 1 -> 16 panels would add 15 > 8
+        with pytest.raises(ToleranceNotReached, match="subdivision budget"):
+            integrate(single(lambda t: 5.0 * np.exp(-200.0 * t)), 1, 1, 1e-12, 8)
+
+    def test_round_off_floor_fails_at_once(self):
+        calls = []
+        f = single(lambda t: np.cos(3.0 * t))
+        with pytest.raises(ToleranceNotReached, match="round-off.*budget"):
+            integrate(lambda items, t: calls.append(t.shape) or f(items, t), 1, 1, 1e-300, 10**6)
+        assert calls == [(1, 15)]
 
     def test_initial_panels_count_against_budget(self):
         # 1e300 initial panels are refused before any array is built
         with pytest.raises(ToleranceNotReached, match="initial panels"):
-            integrate(np.sin, 0.0, 1.0, 1e-10, 100, max_panel_width=1e-300)
-        value, _, _ = integrate(np.sin, 0.0, 1.0, 1e-10, 4, max_panel_width=0.25)
-        assert value == pytest.approx(1.0 - math.cos(1.0), abs=1e-12)
+            initial_panels(1.0, 1e-300, 100)
+        n_panels = initial_panels(1.0, 0.25, 4)
+        assert n_panels == 4
+        values, _, _ = integrate(single(np.sin), 1, n_panels, 1e-10, 4)
+        assert values[0] == pytest.approx(1.0 - math.cos(1.0), abs=1e-12)
+
+    def test_items_refine_independently(self):
+        freqs = np.array([1.0, 40.0, 3.0])
+        batched = lambda items, t: np.cos(freqs[items, None, None] * t)
+        values, errs, panels = integrate(batched, freqs.size, 1, 1e-12, 10000)
+        assert panels > 1
+        assert np.all(errs <= 1e-12)
+        np.testing.assert_allclose(values, np.sin(freqs) / freqs, rtol=0.0, atol=1e-12)
+        # the smooth items stay on the pass that first fit them
+        alone, _, _ = integrate(single(np.cos), 1, 1, 1e-12, 10000)
+        assert values[0] == alone[0]
+
+    def test_blocks_split_items(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 2 * 15 * 4)
+        blocks = []
+        freqs = np.linspace(0.0, 5.0, 7)
+
+        def batched(items, t):
+            blocks.append(items.size)
+            return np.cos(freqs[items, None, None] * t)
+
+        values, _, _ = integrate(batched, freqs.size, 4, 1e-10, 100)
+        assert blocks == [2, 2, 2, 1]
+        np.testing.assert_allclose(values, np.sinc(freqs / math.pi), rtol=0.0, atol=1e-10)
 
 
 class TestPanelRule:

@@ -17,6 +17,7 @@ from spectral_chroma import (
     log_envelope,
     principal_grid,
 )
+from spectral_chroma import quadrature
 from spectral_chroma.spherical import COMPLEMENTARY, PRINCIPAL, _eigenvalue_batch
 
 # Frozen references, computed with 40-digit arithmetic from two independent
@@ -119,6 +120,19 @@ class TestEigenvalue:
         with pytest.raises(ToleranceNotReached):
             eigenvalue(SpectralParameter.principal(30.0), 5.0, tiny)
 
+    def test_budget_counts_added_panels_only(self):
+        # 202 initial panels; a cap on the total count would refuse this
+        value = eigenvalue(SpectralParameter.principal(100.0), 10.0, QuadratureSpec(max_subdivisions=256))
+        assert value == pytest.approx(eigenvalue(SpectralParameter.principal(100.0), 10.0), abs=1e-10)
+
+    def test_unreachable_tolerance_fails_before_refining(self, monkeypatch):
+        passes = []
+        rule = quadrature.panel_rule
+        monkeypatch.setattr(quadrature, "panel_rule", lambda f, a, b: passes.append(a.size) or rule(f, a, b))
+        with pytest.raises(ToleranceNotReached, match="round-off.*budget"):
+            eigenvalue(SpectralParameter.principal(30.0), 5.0, QuadratureSpec(abs_tol=1e-300))
+        assert passes == [43]  # the initial panels only
+
 
 class TestOdeOracle:
     def test_agrees_with_quadrature(self):
@@ -179,7 +193,7 @@ class TestPrincipalGrid:
     @pytest.mark.parametrize("kind,values,radii", [
         (PRINCIPAL, [0.0, 1.0, 5.0, 20.0, 2.0, 0.5, 40.0], [0.0, 2.0, 1.0, 4.0, 0.0, 7.0, 0.3]),
         (COMPLEMENTARY, [0.0, 0.3, 0.5, 0.25, 0.1, 0.45], [0.5, 0.0, 3.0, 10.0, 30.0, 1e-6]),
-        # one shared panel misses abs_tol here, so both live items fall back
+        # one shared panel misses abs_tol here, so both live items are refined
         (PRINCIPAL, [0.5, 0.0, 1.0], [1.5, 2.3, 0.0]),
     ])
     def test_mixed_radius_batch(self, kind, values, radii):
