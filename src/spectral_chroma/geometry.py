@@ -2,14 +2,19 @@
 
 Points, orientation-preserving isometries (real 2x2 matrices up to sign),
 the distance formula, and an explicit parametrization of the circle of
-radius r around any center.  Everything here is a pure function of its
-inputs and safe for concurrent use.
+radius r around any center.  Matrix entries, the distance formula and
+circles are computed elementwise over NumPy arrays, so a whole circle of
+sample points comes from one Möbius composition; the scalar MoebiusMap,
+distance and circle_point go through the same formulas.  Everything here
+is a pure function of its inputs and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -36,6 +41,57 @@ class Point:
 ORIGIN = Point(0.0, 1.0)
 
 
+# Entries (a, b, c, d) of the matrices below, elementwise over floats or
+# arrays.  _unit_det marks an invalid matrix by NaN entries, which every
+# later product and image inherits, so one finiteness check at the end
+# covers every step.
+
+def _unit_det(a, b, c, d):
+    """Renormalize to unit determinant with a positive leading nonzero entry.
+
+    A matrix whose entries or determinant are not finite, or whose
+    determinant is not positive, comes back as NaN entries.
+    """
+    det = a * d - b * c
+    valid = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d) & np.isfinite(det) & (det > 0.0)
+    scale = np.where(valid, 1.0 / np.sqrt(np.where(valid, det, 1.0)), np.nan)
+    a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    lead = np.where(a != 0.0, a, np.where(b != 0.0, b, np.where(c != 0.0, c, d)))
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    return a * flip, b * flip, c * flip, d * flip
+
+
+def _rotation(phi):
+    return np.cos(phi), np.sin(phi), -np.sin(phi), np.cos(phi)
+
+
+def _push(r):
+    e = np.exp(0.5 * r)
+    return e, 0.0, 0.0, 1.0 / e
+
+
+def _origin_to(p: Point):
+    s = math.sqrt(p.y)
+    return s, p.x / s, 0.0, 1.0 / s
+
+
+def _compose(g, h):
+    """Entries of the matrix product g * h (apply h first)."""
+    a, b, c, d = g
+    e, f, k, m = h
+    return a * e + b * k, a * f + b * m, c * e + d * k, c * f + d * m
+
+
+def _apply(a, b, c, d, x, y):
+    # y' = y * det / |cz+d|^2 computed directly, so the sign of the
+    # imaginary part can never be lost to cancellation
+    cxd = c * x + d
+    cy = c * y
+    denom = cxd * cxd + cy * cy
+    num_x = (a * x + b) * cxd + a * c * y * y
+    return num_x / denom, y / denom
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Orientation-preserving isometry z -> (az+b)/(cz+d).
@@ -52,22 +108,12 @@ class MoebiusMap:
 
     def __post_init__(self):
         entries = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in entries):
-            raise DomainError(f"matrix entries must be finite, got {entries}")
-        det = self.a * self.d - self.b * self.c
-        if not (math.isfinite(det) and det > 0.0):
-            raise DomainError(f"matrix must have positive determinant, got {det}")
-        scale = 1.0 / math.sqrt(det)
-        a, b, c, d = (v * scale for v in entries)
-        for v in (a, b, c, d):
-            if v != 0.0:
-                if v < 0.0:
-                    a, b, c, d = -a, -b, -c, -d
-                break
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        unit = [float(v) for v in _unit_det(*entries)]
+        if math.isnan(unit[0]):
+            det = self.a * self.d - self.b * self.c
+            raise DomainError(f"matrix needs finite entries and a positive determinant, got {entries}, det {det}")
+        for name, v in zip("abcd", unit):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -76,68 +122,84 @@ class MoebiusMap:
     @classmethod
     def rotation(cls, phi: float) -> "MoebiusMap":
         """Rotation fixing the origin i; rotates the plane by angle 2*phi."""
-        return cls(math.cos(phi), math.sin(phi), -math.sin(phi), math.cos(phi))
+        return cls(*_rotation(phi))
 
     @classmethod
     def push(cls, r: float) -> "MoebiusMap":
         """Diagonal map sending the origin i to exp(r)*i along the axis."""
-        e = math.exp(0.5 * r)
-        return cls(e, 0.0, 0.0, 1.0 / e)
+        return cls(*_push(r))
 
     @classmethod
     def origin_to(cls, p: Point) -> "MoebiusMap":
         """Upper-triangular map taking the origin i to p."""
-        s = math.sqrt(p.y)
-        return cls(s, p.x / s, 0.0, 1.0 / s)
+        return cls(*_origin_to(p))
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product self * other (apply other first)."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return MoebiusMap(*_compose((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: Point) -> Point:
-        # y' = y * det / |cz+d|^2 computed directly, so the sign of the
-        # imaginary part can never be lost to cancellation
-        cxd = self.c * p.x + self.d
-        cy = self.c * p.y
-        denom = cxd * cxd + cy * cy
-        num_x = (self.a * p.x + self.b) * cxd + self.a * self.c * p.y * p.y
-        return Point(num_x / denom, p.y / denom)
+        return Point(*_apply(self.a, self.b, self.c, self.d, p.x, p.y))
+
+
+def coord_distance(x1, y1, x2, y2):
+    """Hyperbolic distance between (x1, y1) and (x2, y2), elementwise.
+
+    acosh(1 + rho / (2 y y')) with rho the squared Euclidean distance,
+    evaluated in the equivalent half-angle form 2 asinh(sqrt(rho/(4 y y')))
+    so nearby points keep their full separation instead of vanishing into
+    the 1 + eps plateau of acosh.  Symmetric at the bit level: every
+    floating-point operation commutes under swapping the two points.
+    Separations beyond double range come out as inf.
+    """
+    with np.errstate(over="ignore"):
+        dx = x2 - x1
+        dy = y2 - y1
+        rho = dx * dx + dy * dy
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(rho / (y1 * y2)))
 
 
 def distance(p: Point, q: Point) -> float:
-    """Hyperbolic distance acosh(1 + rho / (2 y y')) with rho = |q - p|^2.
-
-    Evaluated in the equivalent half-angle form 2 asinh(sqrt(rho/(4 y y')))
-    so nearby points keep their full separation instead of vanishing into
-    the 1 + eps plateau of acosh.  Symmetric at the bit level: every
-    floating-point operation commutes under swapping the arguments.
-    """
-    dx = q.x - p.x
-    dy = q.y - p.y
-    rho = dx * dx + dy * dy
-    return 2.0 * math.asinh(0.5 * math.sqrt(rho / (p.y * q.y)))
+    """Hyperbolic distance between two points (see coord_distance)."""
+    return float(coord_distance(p.x, p.y, q.x, q.y))
 
 
-def circle_point(center: Point, r: float, theta: float) -> Point:
-    """Point at hyperbolic distance r from center, angle parameter theta.
+def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, y) of the points at angle parameters thetas on a circle.
 
-    theta in [0, 2*pi) sweeps the circle exactly once; the rotation matrix
-    acts on the plane by twice its angle, hence the theta/2 below.
-    Supported radii: 0 <= r <= MAX_CIRCLE_RADIUS.
+    Each point is the image of the origin i under
+    origin_to(center) * rotation(theta/2) * push(r), composed over arrays
+    of matrix entries with every step validated and renormalized as in
+    MoebiusMap.  theta in [0, 2*pi) sweeps the circle exactly once; the
+    rotation matrix acts on the plane by twice its angle, hence theta/2.
+    Supported radii: 0 <= r <= MAX_CIRCLE_RADIUS.  A circle whose points
+    are not representable in double precision raises DomainError.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"circle radius must be a finite non-negative real, got {r}")
     if r > MAX_CIRCLE_RADIUS:
         raise DomainError(f"circle radius {r} exceeds the supported range r <= {MAX_CIRCLE_RADIUS}")
-    g = MoebiusMap.origin_to(center)
-    g = g.compose(MoebiusMap.rotation(0.5 * theta))
-    g = g.compose(MoebiusMap.push(r))
-    return g.apply(ORIGIN)
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)):
+        raise DomainError("circle angles must be finite")
+    with np.errstate(all="ignore"):
+        g = _unit_det(*_origin_to(center))
+        g = _unit_det(*_compose(g, _unit_det(*_rotation(0.5 * thetas))))
+        g = _unit_det(*_compose(g, _unit_det(*_push(r))))
+        x, y = _apply(*g, ORIGIN.x, ORIGIN.y)
+    if not np.all(np.isfinite(x) & np.isfinite(y) & (y > 0.0)):
+        raise DomainError(
+            f"the circle of radius {r} around base ({center.x}, {center.y}) leaves double range")
+    return x, y
+
+
+def circle_point(center: Point, r: float, theta: float) -> Point:
+    """Point at hyperbolic distance r from center, angle parameter theta.
+
+    One point of circle_coords, with the same parametrization and range.
+    """
+    x, y = circle_coords(center, r, [theta])
+    return Point(float(x[0]), float(y[0]))

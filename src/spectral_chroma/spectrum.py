@@ -2,7 +2,8 @@
 
 Scans the principal series for its minimum (the quantity that drives the
 independence-ratio bound), reports the certified analytic floor, and checks
-the eigenfunction identity directly by discrete circle averaging.  Grid
+the eigenfunction identity directly by discrete circle averaging, with
+the circle evaluated as arrays through the Möbius route of geometry.  Grid
 evaluations are independent of each other; summaries are assembled by a
 single reducer with no shared mutable state.
 """
@@ -15,9 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ORIGIN, Point, circle_point, distance
+from .geometry import ORIGIN, Point, circle_coords, coord_distance
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
-from .spherical import SpectralParameter, _eigenvalue_batch, eigenvalue, envelope, principal_grid
+from .spherical import (
+    MAX_EVAL_RADIUS,
+    SpectralParameter,
+    _eigenvalue_batch,
+    eigenvalue,
+    envelope,
+    principal_grid,
+)
 
 # below this, scanned values are indistinguishable from quadrature noise
 _DEGENERATE_FLOOR = 1e-12
@@ -151,7 +159,8 @@ def verify_eigenfunction(
     result is compared with eigenvalue(param, r) * phi(base).  Equal angle
     steps realize the rotation-invariant measure, so this is a trapezoid
     rule on a smooth periodic integrand and the residual decays spectrally
-    in n_points.  All n_points + 2 eigenvalues come from one batch call.
+    in n_points.  The circle points come from one array Möbius composition
+    and all n_points + 2 eigenvalues from one batch call.
     """
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
@@ -160,8 +169,12 @@ def verify_eigenfunction(
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"verification needs r > 0, got {r}")
 
-    step = 2.0 * math.pi / n_points
-    circle = [distance(circle_point(base, r, j * step), ORIGIN) for j in range(n_points)]
-    radii = np.array(circle + [r, distance(base, ORIGIN)])
+    x, y = circle_coords(base, r, np.arange(n_points) * (2.0 * math.pi / n_points))
+    # distances to i of the circle points and of the base, then r itself
+    dist = coord_distance(np.append(x, base.x), np.append(y, base.y), ORIGIN.x, ORIGIN.y)
+    if not np.all(dist <= MAX_EVAL_RADIUS):
+        raise DomainError(f"the circle of radius {r} around base ({base.x}, {base.y}) reaches distance "
+                          f"{np.max(dist)} from i, beyond the supported range r <= {MAX_EVAL_RADIUS}")
+    radii = np.append(dist, r)
     lam = _eigenvalue_batch(param.kind, np.full(radii.size, param.value), radii, quad)
     return abs(float(np.mean(lam[:n_points])) - float(lam[-2] * lam[-1]))

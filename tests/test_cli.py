@@ -338,6 +338,14 @@ class TestInProcess:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("base", ["1e308,1", "0,1e-310", "0,1e300"])
+    def test_circle_out_of_range_names_the_base(self, base, capsys):
+        code, out, err = run_main(capsys, "verify", "--r", "1.5", "--s", "2", "--base", base)
+        assert code == 2
+        assert out == ""
+        x, y = (float(v) for v in base.split(","))
+        assert err.startswith("error: ") and f"base ({x}, {y})" in err
+
     @pytest.mark.parametrize("argv", [
         ("scan", "--r", "4"),
         ("verify", "--r", "1.5", "--s", "2", "--base", "0.7,2.0"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spectral_chroma import (
     circle_point,
     distance,
 )
+from spectral_chroma.geometry import circle_coords, coord_distance
 
 
 def random_map(rng) -> MoebiusMap:
@@ -139,13 +141,29 @@ class TestCirclePoint:
         for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
             assert abs(distance(center, circle_point(center, 2.0, theta)) - 2.0) <= 1e-10
 
-    @pytest.mark.parametrize("r", [0.5, 1.0, 5.0, 10.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 5.0, 10.0, 40.0])
     def test_random_centers(self, r):
         rng = np.random.default_rng(106)
         for _ in range(25):
             center = random_point(rng)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             assert abs(distance(center, circle_point(center, r, theta)) - r) <= 1e-9
+            x, y = circle_coords(center, r, rng.uniform(0.0, 2.0 * math.pi, 64))
+            assert np.all(np.abs(coord_distance(center.x, center.y, x, y) - r) <= 1e-9)
+
+    def test_coords_match_circle_point_and_map_composition(self):
+        center = Point(-0.3, 0.8)
+        thetas = np.arange(256) * (2.0 * math.pi / 256)
+        x, y = circle_coords(center, 5.0, thetas)
+        for theta, xj, yj in zip(thetas, x, y):
+            q = circle_point(center, 5.0, theta)
+            assert (q.x, q.y) == (xj, yj)
+            # the composition one MoebiusMap at a time, as a loop reference;
+            # scalar and array sin/cos may differ in the last bit
+            g = MoebiusMap.origin_to(center).compose(MoebiusMap.rotation(0.5 * theta)).compose(MoebiusMap.push(5.0))
+            ref = g.apply(ORIGIN)
+            assert xj == pytest.approx(ref.x, rel=1e-13, abs=1e-13)
+            assert yj == pytest.approx(ref.y, rel=1e-13)
 
     def test_sweep_is_injective(self):
         # theta covers the circle once: 8 equally spaced angles, 8 spots
@@ -155,9 +173,13 @@ class TestCirclePoint:
                 assert distance(pts[i], pts[j]) > 1e-6
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(DomainError):
-            circle_point(ORIGIN, -0.1, 0.0)
-        with pytest.raises(DomainError):
-            circle_point(ORIGIN, MAX_CIRCLE_RADIUS + 1.0, 0.0)
-        with pytest.raises(DomainError):
-            circle_point(ORIGIN, math.nan, 0.0)
+        for r in (-0.1, MAX_CIRCLE_RADIUS + 1.0, math.nan):
+            with pytest.raises(DomainError):
+                circle_point(ORIGIN, r, 0.0)
+            with pytest.raises(DomainError):
+                circle_coords(ORIGIN, r, np.linspace(0.0, 6.0, 8))
+
+    @pytest.mark.parametrize("center", [Point(1e308, 1.0), Point(0.0, 1e-310)])
+    def test_rejects_circle_outside_double_range(self, center):
+        with pytest.raises(DomainError, match=re.escape(f"base ({center.x}, {center.y})")):
+            circle_coords(center, 1.5, np.linspace(0.0, 6.0, 8))

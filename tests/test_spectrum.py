@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spectral_chroma.geometry as geometry
 import spectral_chroma.spectrum as spectrum
 from spectral_chroma import (
     ORIGIN,
@@ -120,6 +121,19 @@ class TestVerifyEigenfunction:
         assert res < 1e-6
         assert len(batches) == 1
         assert batches[0][2].size == 256 + 2
+
+    def test_one_geometry_call_and_no_scalar_circle_points(self, monkeypatch):
+        circles, points = [], []
+        coords = spectrum.circle_coords
+        monkeypatch.setattr(spectrum, "circle_coords", lambda *a: circles.append(a) or coords(*a))
+        point = geometry.circle_point
+        monkeypatch.setattr(geometry, "circle_point", lambda *a: points.append(a) or point(*a))
+        monkeypatch.setattr(spectrum, "circle_point", geometry.circle_point, raising=False)
+        res = verify_eigenfunction(SpectralParameter.principal(2.0), 1.5, Point(0.7, 2.0), 2048)
+        assert res < 1e-6
+        assert len(circles) == 1
+        assert np.size(circles[0][2]) == 2048
+        assert points == []
 
     def test_rejects_n_over_cap(self):
         with pytest.raises(DomainError, match="n_points"):
