@@ -49,13 +49,15 @@ ORIGIN = Point(0.0, 1.0)
 def _unit_det(a, b, c, d):
     """Renormalize to unit determinant with a positive leading nonzero entry.
 
-    A matrix whose entries or determinant are not finite, or whose
-    determinant is not positive, comes back as NaN entries.
+    A matrix whose determinant is not finite and positive, or whose
+    renormalized entries are not all finite, comes back as NaN entries.
     """
-    det = a * d - b * c
-    valid = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d) & np.isfinite(det) & (det > 0.0)
-    scale = np.where(valid, 1.0 / np.sqrt(np.where(valid, det, 1.0)), np.nan)
-    a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * d - b * c
+        scale = 1.0 / np.sqrt(np.where(np.isfinite(det) & (det > 0.0), det, np.nan))
+        a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    valid = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
+    a, b, c, d = (np.where(valid, v, np.nan) for v in (a, b, c, d))
     lead = np.where(a != 0.0, a, np.where(b != 0.0, b, np.where(c != 0.0, c, d)))
     flip = np.where(lead < 0.0, -1.0, 1.0)
     return a * flip, b * flip, c * flip, d * flip
@@ -142,29 +144,41 @@ class MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: Point) -> Point:
-        return Point(*_apply(self.a, self.b, self.c, self.d, p.x, p.y))
+        # NumPy scalars, so an underflowed |cz+d|^2 yields a non-finite
+        # image (refused by Point) instead of ZeroDivisionError
+        with np.errstate(all="ignore"):
+            x, y = _apply(*np.array([self.a, self.b, self.c, self.d]), p.x, p.y)
+        return Point(float(x), float(y))
 
 
 def coord_distance(x1, y1, x2, y2):
     """Hyperbolic distance between (x1, y1) and (x2, y2), elementwise.
 
     acosh(1 + rho / (2 y y')) with rho the squared Euclidean distance,
-    evaluated in the equivalent half-angle form 2 asinh(sqrt(rho/(4 y y')))
-    so nearby points keep their full separation instead of vanishing into
-    the 1 + eps plateau of acosh.  Symmetric at the bit level: every
-    floating-point operation commutes under swapping the two points.
-    Separations beyond double range come out as inf.
+    evaluated in the equivalent half-angle form 2 asinh(q) with
+    q = sqrt(rho) / (2 sqrt(y) sqrt(y')), so nearby points keep their full
+    separation instead of vanishing into the 1 + eps plateau of acosh.
+    The denominator is formed from the two square roots, so the heights'
+    product is never formed and cannot underflow.  Symmetric at the bit
+    level: every floating-point operation commutes under swapping the two
+    points.  Separations whose square leaves double range come out as inf.
     """
     with np.errstate(over="ignore"):
         dx = x2 - x1
         dy = y2 - y1
         rho = dx * dx + dy * dy
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(rho / (y1 * y2)))
+        return 2.0 * np.arcsinh(0.5 * (np.sqrt(rho) / (np.sqrt(y1) * np.sqrt(y2))))
 
 
 def distance(p: Point, q: Point) -> float:
-    """Hyperbolic distance between two points (see coord_distance)."""
-    return float(coord_distance(p.x, p.y, q.x, q.y))
+    """Hyperbolic distance between two points (see coord_distance).
+
+    Points whose squared separation leaves double range raise DomainError.
+    """
+    d = float(coord_distance(p.x, p.y, q.x, q.y))
+    if math.isinf(d):
+        raise DomainError(f"the separation of ({p.x}, {p.y}) and ({q.x}, {q.y}) leaves double range")
+    return d
 
 
 def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,8 @@ module evaluates it three independent ways:
 * ``eigenvalue_scaled_form`` -- the rescaled integral over [0, 1], left in
                               singular form and handed to extrapolating QAGS.
 
+The two oracle routes need scipy (the ``oracle`` extra), which is imported
+only when one of them runs, so the package itself loads on NumPy alone.
 It also provides the uniform envelope (r+1) exp(-r/2) that bounds every
 principal-series eigenvalue.  Evaluation is stateless; grid sweeps are safe
 to run unsynchronized in parallel.
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _qags
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, StepSizeUnderflow
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, initial_panels, integrate
@@ -182,8 +182,18 @@ def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
     return _eigenvalue_batch(PRINCIPAL, s, r, quad)
 
 
-def _series_seed(lam: float, t: float) -> tuple[float, float]:
-    # even Taylor series of the regular solution about t = 0
+def _scipy_integrate():
+    """scipy.integrate, imported on first use by the oracle routes."""
+    try:
+        import scipy.integrate
+    except ImportError as exc:
+        raise ImportError(
+            "the ODE and QAGS oracle routes need scipy: pip install 'spectral-chroma[oracle]'") from exc
+    return scipy.integrate
+
+
+def _series_seed(lam, t):
+    # even Taylor series of the regular solution about t = 0, elementwise
     a1 = -lam / 4.0
     a2 = lam * (lam + 2.0 / 3.0) / 64.0
     a3 = (-a2 * (lam + 4.0 / 3.0) + 2.0 * a1 / 45.0) / 36.0
@@ -191,6 +201,14 @@ def _series_seed(lam: float, t: float) -> tuple[float, float]:
     u = 1.0 + t2 * (a1 + t2 * (a2 + t2 * a3))
     du = t * (2.0 * a1 + t2 * (4.0 * a2 + t2 * 6.0 * a3))
     return u, du
+
+
+def _ode_lambda(param: SpectralParameter) -> float:
+    if param.kind == COMPLEMENTARY:
+        return 0.25 - param.value * param.value
+    if param.value > ODE_MAX_S:
+        raise StepSizeUnderflow(f"s = {param.value} outside the supported ODE range s <= {ODE_MAX_S}")
+    return param.value * param.value + 0.25
 
 
 def eigenvalue_ode(param: SpectralParameter, r: float) -> float:
@@ -201,30 +219,47 @@ def eigenvalue_ode(param: SpectralParameter, r: float) -> float:
     series and 1/4 - sigma^2 on the complementary one.  The solution is
     Taylor-seeded just off the coordinate singularity at t = 0 and carried
     to r by an 8th-order adaptive Runge-Kutta scheme.  Supported window:
-    s <= 100, r <= 30.
+    s <= 100, r <= 30.  This is a batch of one.
     """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"radius must be a finite non-negative real, got {r}")
-    if r > ODE_MAX_R:
-        raise StepSizeUnderflow(f"r = {r} outside the supported ODE range r <= {ODE_MAX_R}")
-    if param.kind == PRINCIPAL:
-        if param.value > ODE_MAX_S:
-            raise StepSizeUnderflow(f"s = {param.value} outside the supported ODE range s <= {ODE_MAX_S}")
-        lam = param.value * param.value + 0.25
-    else:
-        lam = 0.25 - param.value * param.value
+    return float(_eigenvalue_ode_batch([param], [r])[0])
 
-    if r <= _ODE_SEED_T:
-        return _series_seed(lam, r)[0]
-    u0, du0 = _series_seed(lam, _ODE_SEED_T)
 
-    def rhs(t, y):
-        return (y[1], -y[1] / math.tanh(t) - lam * y[0])
+def _eigenvalue_ode_batch(params, radii) -> np.ndarray:
+    """ODE-route eigenvalues for a sequence of parameters at per-item radii.
 
-    sol = solve_ivp(rhs, (_ODE_SEED_T, r), (u0, du0), method="DOP853", rtol=1e-12, atol=1e-14)
+    With t = r tau every item runs over tau in [tau0, 1], so the whole batch
+    is one DOP853 system of 2 n equations.  Each item is Taylor-seeded at
+    t = r tau0, where tau0 = _ODE_SEED_T / max r; items with r <= _ODE_SEED_T
+    take the series value directly (1 at r = 0).
+    """
+    radii = np.asarray(radii, dtype=float)
+    for r in radii:
+        if not (math.isfinite(r) and r >= 0.0):
+            raise DomainError(f"radius must be a finite non-negative real, got {r}")
+        if r > ODE_MAX_R:
+            raise StepSizeUnderflow(f"r = {r} outside the supported ODE range r <= {ODE_MAX_R}")
+    lam = np.array([_ode_lambda(p) for p in params])
+    out = np.empty(radii.shape)
+    seeded = radii <= _ODE_SEED_T
+    out[seeded] = _series_seed(lam[seeded], radii[seeded])[0]
+    live = ~seeded
+    if not np.any(live):
+        return out
+    lam, r = lam[live], radii[live]
+    tau0 = _ODE_SEED_T / float(np.max(r))
+
+    def rhs(tau, y):
+        # y = (u, du/dt) per item; d/dtau = r d/dt
+        u, du = y[:r.size], y[r.size:]
+        return np.concatenate((r * du, -r * (du / np.tanh(r * tau) + lam * u)))
+
+    solve_ivp = _scipy_integrate().solve_ivp
+    sol = solve_ivp(rhs, (tau0, 1.0), np.concatenate(_series_seed(lam, r * tau0)),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    out[live] = sol.y[:r.size, -1]
+    return out
 
 
 def eigenvalue_scaled_form(param: SpectralParameter, r: float) -> float:
@@ -249,5 +284,5 @@ def eigenvalue_scaled_form(param: SpectralParameter, r: float) -> float:
         gap = 2.0 * math.sinh(0.5 * (r + rx)) * math.sinh(0.5 * (r - rx))
         return kernel(rx) / math.sqrt(gap)
 
-    value, _ = _qags(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
+    value, _ = _scipy_integrate().quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
     return _SQRT2_OVER_PI * r * value

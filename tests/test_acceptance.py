@@ -21,13 +21,13 @@ from spectral_chroma import (
     compare,
     envelope,
     eigenvalue,
-    eigenvalue_ode,
     hoffman_finite,
     main_bounds,
     principal_grid,
     scan_principal,
     verify_eigenfunction,
 )
+from spectral_chroma.spherical import _eigenvalue_ode_batch
 from test_bounds import (
     brute_force_independence_ratio,
     complete_graph,
@@ -62,16 +62,17 @@ def test_criterion_1_envelope_inequality():
 def test_criterion_2_oracle_agreement():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
-    worst = 0.0
+    points = []
     for _ in range(200):
         s = float(rng.uniform(0.0, 50.0))
         r = float(rng.uniform(0.01, 10.0))
-        p = SpectralParameter.principal(s)
-        worst = max(worst, abs(eigenvalue(p, r) - eigenvalue_ode(p, r)))
+        points.append((SpectralParameter.principal(s), r))
     for sigma in np.arange(0.0, 0.51, 0.1):
         for r in range(1, 11):
-            p = SpectralParameter.complementary(float(sigma))
-            worst = max(worst, abs(eigenvalue(p, float(r)) - eigenvalue_ode(p, float(r))))
+            points.append((SpectralParameter.complementary(float(sigma)), float(r)))
+    params, radii = zip(*points)
+    ode = _eigenvalue_ode_batch(params, radii)
+    worst = max(abs(eigenvalue(p, r) - u) for (p, r), u in zip(points, ode))
     elapsed = time.perf_counter() - t0
     _report(
         2,

@@ -67,6 +67,16 @@ class TestDistance:
     def test_positive_for_distinct(self):
         assert distance(ORIGIN, Point(1e-8, 1.0)) > 0.0
 
+    def test_tiny_heights_do_not_underflow(self):
+        # y1 * y2 = 1e-400 underflows; 2 asinh(1e200 / 2) = 2 log(1e200) to double precision
+        p, q = Point(0.0, 1e-200), Point(1.0, 1e-200)
+        assert distance(p, q) == pytest.approx(400.0 * math.log(10.0), rel=1e-15)
+        assert distance(p, q) == distance(q, p)
+
+    def test_squared_separation_beyond_double_range_is_refused(self):
+        with pytest.raises(DomainError, match="leaves double range"):
+            distance(ORIGIN, Point(0.0, 1e200))
+
 
 class TestMoebiusMap:
     def test_identity_fixes_points(self):

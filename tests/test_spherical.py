@@ -18,7 +18,7 @@ from spectral_chroma import (
     principal_grid,
 )
 from spectral_chroma import quadrature
-from spectral_chroma.spherical import COMPLEMENTARY, PRINCIPAL, _eigenvalue_batch
+from spectral_chroma.spherical import COMPLEMENTARY, PRINCIPAL, _eigenvalue_batch, _eigenvalue_ode_batch
 
 # Frozen references, computed with 40-digit arithmetic from two independent
 # high-precision routes (hypergeometric evaluation of the conical Legendre
@@ -137,10 +137,11 @@ class TestEigenvalue:
 class TestOdeOracle:
     def test_agrees_with_quadrature(self):
         rng = np.random.default_rng(202)
-        for _ in range(25):
-            s, r = rng.uniform(0.0, 50.0), rng.uniform(0.05, 10.0)
-            p = SpectralParameter.principal(s)
-            assert abs(eigenvalue(p, r) - eigenvalue_ode(p, r)) <= 1e-8
+        points = [(SpectralParameter.principal(rng.uniform(0.0, 50.0)), rng.uniform(0.05, 10.0))
+                  for _ in range(25)]
+        ode = _eigenvalue_ode_batch(*zip(*points))
+        for (p, r), u in zip(points, ode):
+            assert abs(eigenvalue(p, r) - u) <= 1e-8
 
     def test_agrees_on_complementary(self):
         for sigma in (0.0, 0.2, 0.4, 0.5):
