@@ -28,7 +28,7 @@ from .errors import (
 )
 from .geometry import Point
 from .quadrature import QuadratureSpec
-from .spectrum import REFINE_XTOL, scan_principal, verify_eigenfunction
+from .spectrum import REFINE_XTOL, _scan, verify_eigenfunction
 from .spherical import SpectralParameter, eigenvalue, envelope
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def _cmd_scan(args) -> int:
     quad = _quadrature(cfg)
     s_max = args.s_max if args.s_max is not None else cfg.get("s_max")
     step = args.step if args.step is not None else cfg.get("step", 0.05)
-    summary = scan_principal(args.r, s_max=s_max, grid_step=step, quad=quad)
+    summary, grid, values = _scan(args.r, s_max, step, quad)
 
     record = {
         "command": "scan",
@@ -171,7 +171,7 @@ def _cmd_scan(args) -> int:
     print("# " + json.dumps(record, separators=(",", ":")))
     print("s,value")
     if not summary.degenerate:
-        for s, v in zip(summary.grid, summary.grid_values):
+        for s, v in zip(grid, values):
             print(f"{float(s)!r},{float(v)!r}")
     return EXIT_OK
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import _BLOCK_ELEMENTS
 
 # diag(exp(r/2), exp(-r/2)) entries stay well inside double range up to
 # here; beyond, squared coordinates start to drown the distance formula
@@ -190,7 +191,9 @@ def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarr
     MoebiusMap.  theta in [0, 2*pi) sweeps the circle exactly once; the
     rotation matrix acts on the plane by twice its angle, hence theta/2.
     Supported radii: 0 <= r <= MAX_CIRCLE_RADIUS.  A circle whose points
-    are not representable in double precision raises DomainError.
+    are not representable in double precision raises DomainError.  The
+    angles are composed in blocks of _BLOCK_ELEMENTS, so the temporaries
+    do not grow with the number of points.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"circle radius must be a finite non-negative real, got {r}")
@@ -199,14 +202,21 @@ def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarr
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(np.isfinite(thetas)):
         raise DomainError("circle angles must be finite")
+    x, y = np.empty(thetas.shape), np.empty(thetas.shape)
+    angles, x_flat, y_flat = thetas.reshape(-1), x.reshape(-1), y.reshape(-1)
     with np.errstate(all="ignore"):
-        g = _unit_det(*_origin_to(center))
-        g = _unit_det(*_compose(g, _unit_det(*_rotation(0.5 * thetas))))
-        g = _unit_det(*_compose(g, _unit_det(*_push(r))))
-        x, y = _apply(*g, ORIGIN.x, ORIGIN.y)
-    if not np.all(np.isfinite(x) & np.isfinite(y) & (y > 0.0)):
-        raise DomainError(
-            f"the circle of radius {r} around base ({center.x}, {center.y}) leaves double range")
+        base = _unit_det(*_origin_to(center))
+        push = _unit_det(*_push(r))
+    # elementwise, so blocks of angles give the same bits as one composition
+    for start in range(0, angles.size, _BLOCK_ELEMENTS):
+        block = slice(start, start + _BLOCK_ELEMENTS)
+        with np.errstate(all="ignore"):
+            g = _unit_det(*_compose(base, _unit_det(*_rotation(0.5 * angles[block]))))
+            g = _unit_det(*_compose(g, push))
+            x_flat[block], y_flat[block] = _apply(*g, ORIGIN.x, ORIGIN.y)
+        if not np.all(np.isfinite(x_flat[block]) & np.isfinite(y_flat[block]) & (y_flat[block] > 0.0)):
+            raise DomainError(
+                f"the circle of radius {r} around base ({center.x}, {center.y}) leaves double range")
     return x, y
 
 

@@ -11,7 +11,7 @@ single reducer with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class SpectrumSummary:
     function is an eigenfunction with eigenvalue 1, while the plane itself
     has sup strictly below 1; the bound pipeline uses the quotient value.
     m_numeric is the scanned (uncertified) minimum; m_analytic the
-    certified floor -(r+1)exp(-r/2).  grid and grid_values hold the scanned
-    grid and its eigenvalues (None when degenerate).
+    certified floor -(r+1)exp(-r/2).  The summary holds no grid, so
+    keeping summaries costs no memory per grid point.
     """
 
     r: float
@@ -58,8 +58,6 @@ class SpectrumSummary:
     s_max_scanned: float
     grid_step: float
     degenerate: bool = False
-    grid: np.ndarray | None = field(default=None, compare=False, repr=False)
-    grid_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def default_s_max(r: float) -> float:
@@ -97,6 +95,15 @@ def scan_principal(
     below the quadrature noise scale the scan is skipped and the summary
     is flagged degenerate with m_numeric = 0.
     """
+    return _scan(r, s_max, grid_step, quad)[0]
+
+
+def _scan(r: float, s_max: float | None, grid_step: float,
+          quad: QuadratureSpec) -> tuple[SpectrumSummary, np.ndarray | None, np.ndarray | None]:
+    """scan_principal's summary, with the scanned grid and its eigenvalues.
+
+    The grid and values are None when the scan is degenerate.
+    """
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"scan needs r > 0, got {r}")
     if s_max is None:
@@ -116,7 +123,7 @@ def scan_principal(
         return SpectrumSummary(
             r=r, M=1.0, m_numeric=0.0, m_analytic=m_analytic, argmin_s=0.0,
             s_max_scanned=s_max, grid_step=grid_step, degenerate=True,
-        )
+        ), None, None
 
     grid = np.arange(0.0, s_max + 0.5 * grid_step, grid_step)
     values = principal_grid(grid, r, quad)
@@ -130,8 +137,8 @@ def scan_principal(
 
     return SpectrumSummary(
         r=r, M=1.0, m_numeric=m_refined, m_analytic=m_analytic, argmin_s=argmin_s,
-        s_max_scanned=float(s_max), grid_step=float(grid_step), grid=grid, grid_values=values,
-    )
+        s_max_scanned=float(s_max), grid_step=float(grid_step),
+    ), grid, values
 
 
 def full_range_floor(r: float) -> float:

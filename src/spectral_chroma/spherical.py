@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepSizeUnderflow
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, initial_panels, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, _refine, initial_panels, integrate
 
 _SQRT2_OVER_PI = math.sqrt(2.0) / math.pi
 
@@ -144,8 +144,12 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
 
     All items start on uniform panels in t = u / sqrt(r), none wider in u
     than oscillation_panel_factor * pi / max(value, 1) for any item, so each
-    sees a bounded stretch of the oscillation; ``integrate`` doubles the
-    panels of items that miss quad.abs_tol.  r = 0 gives the limit value 1.
+    sees a bounded stretch of the oscillation; the panels of items that miss
+    quad.abs_tol are doubled.  Principal-series values at one radius that
+    form an arithmetic progression (every scan grid) are summed as matrix
+    products of shared cosine tables; every other batch, including a batch
+    of one, from integrand values at the nodes.  r = 0 gives the limit
+    value 1.
     """
     radii = np.asarray(radii, dtype=float)
     _check_radius(float(radii.min()))
@@ -157,6 +161,13 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     v, r = values[live], (radii if radii.ndim == 0 else radii[live])
     n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))),
                               quad.oscillation_panel_factor * math.pi, quad.max_subdivisions)
+    if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
+        step = v[1] - v[0]
+        if np.array_equal(v, v[0] + np.arange(v.size) * step):
+            grid = _cosine_progression(v[0], step, v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
+                                       lambda t: _SQRT2_OVER_PI * _smooth_weight(t, r))
+            out[live] = _refine(grid, v.size, n_panels, quad.abs_tol, quad.max_subdivisions)[0]
+            return out
     kernel = np.cos if kind == PRINCIPAL else np.cosh
 
     def integrand(items, t):
@@ -173,6 +184,10 @@ def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 
     The grid shares panels sized for the largest s; grid points whose
     Kronrod-Gauss estimate misses quad.abs_tol are refined on their own.
+    An evenly spaced grid, s == s[0] + arange(n) * (s[1] - s[0]) exactly,
+    is summed without one cosine per point and node (see
+    quadrature._cosine_progression); its values agree with the node path
+    to rounding, and both stay within quad.abs_tol.
     """
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     if s.ndim != 1:

@@ -17,6 +17,7 @@ from spectral_chroma import (
     main_bounds,
     principal_grid,
 )
+from test_spectrum import node_batch_sizes
 
 PETERSEN_EDGES = """\
 # outer cycle, spokes, inner pentagram
@@ -324,6 +325,13 @@ class TestInProcess:
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 5
         assert len(grids) == 1
+
+    def test_csv_scan_grid_takes_the_matrix_path(self, monkeypatch, capsys):
+        sizes = node_batch_sizes(monkeypatch)
+        code, out, _ = run_main(capsys, "scan", "--r", "4", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2 + 2001
+        assert sizes and set(sizes) == {1}
 
     def test_initial_panel_budget_exits_3(self, capsys):
         code, out, err = run_main(capsys, "eval", "--r", "2", "--s", "1e300")

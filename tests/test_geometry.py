@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spectral_chroma import (
     circle_point,
     distance,
 )
+from spectral_chroma import geometry
 from spectral_chroma.geometry import circle_coords, coord_distance
 
 
@@ -174,6 +176,25 @@ class TestCirclePoint:
             ref = g.apply(ORIGIN)
             assert xj == pytest.approx(ref.x, rel=1e-13, abs=1e-13)
             assert yj == pytest.approx(ref.y, rel=1e-13)
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        thetas = np.arange(100) * (2.0 * math.pi / 100)
+        whole = circle_coords(Point(0.7, 2.0), 1.5, thetas)
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 7)
+        np.testing.assert_array_equal(circle_coords(Point(0.7, 2.0), 1.5, thetas), whole)
+
+    def test_memory_is_bounded_by_blocks(self):
+        n = 10**6
+        thetas = np.arange(n) * (2.0 * math.pi / n)
+        tracemalloc.start()
+        try:
+            x, y = circle_coords(Point(0.7, 2.0), 1.5, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.size == y.size == n
+        # the two coordinate arrays plus block temporaries (161 MB unblocked)
+        assert peak < 2 * x.nbytes + 16 * 2**20
 
     def test_sweep_is_injective(self):
         # theta covers the circle once: 8 equally spaced angles, 8 spots

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import spectral_chroma.geometry as geometry
+import spectral_chroma.quadrature as quadrature
 import spectral_chroma.spectrum as spectrum
 from spectral_chroma import (
+    DEFAULT_QUADRATURE,
     ORIGIN,
     DomainError,
     Point,
@@ -21,6 +23,20 @@ from spectral_chroma import (
 # cross-checking the minimum location against a 40-digit grid search
 R4_MIN = -0.15307119445262743
 R4_ARGMIN = 0.9841481056098315
+
+
+def node_batch_sizes(monkeypatch) -> list[int]:
+    """Items per node-path panel_rule call, recorded from here on."""
+    sizes = []
+    rule = quadrature.panel_rule
+
+    def spy(f, lefts, rights):
+        kron, err = rule(f, lefts, rights)
+        sizes.append(kron.shape[0])
+        return kron, err
+
+    monkeypatch.setattr(quadrature, "panel_rule", spy)
+    return sizes
 
 
 class TestScanPrincipal:
@@ -49,16 +65,25 @@ class TestScanPrincipal:
         assert summary.m_numeric == 0.0
         assert summary.M == 1.0
 
+    def test_grid_takes_the_matrix_path(self, monkeypatch):
+        sizes = node_batch_sizes(monkeypatch)
+        summary = scan_principal(4.0)
+        assert summary.s_max_scanned == 100.0
+        # only golden-section refinement, one value per call, uses nodes
+        assert sizes and set(sizes) == {1}
+
     def test_default_window(self):
         summary = scan_principal(0.5, s_max=None, grid_step=2.0)
         assert summary.s_max_scanned == 100.0
 
     def test_keeps_its_grid(self):
-        summary = scan_principal(4.0, s_max=5.0, grid_step=0.5)
-        np.testing.assert_array_equal(summary.grid, np.arange(0.0, 5.25, 0.5))
-        np.testing.assert_array_equal(summary.grid_values, principal_grid(summary.grid, 4.0))
+        # the CSV scan's grid comes with the summary; the summary holds no array
+        summary, grid, values = spectrum._scan(4.0, 5.0, 0.5, DEFAULT_QUADRATURE)
+        np.testing.assert_array_equal(grid, np.arange(0.0, 5.25, 0.5))
+        np.testing.assert_array_equal(values, principal_grid(grid, 4.0))
         assert summary == scan_principal(4.0, s_max=5.0, grid_step=0.5)
-        assert scan_principal(80.0).grid_values is None
+        assert not any(isinstance(v, np.ndarray) for v in vars(summary).values())
+        assert spectrum._scan(80.0, None, 0.05, DEFAULT_QUADRATURE)[1:] == (None, None)
 
     def test_grid_size_capped_before_allocation(self):
         with pytest.raises(DomainError, match="scan grid"):

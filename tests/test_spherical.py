@@ -184,6 +184,13 @@ class TestPrincipalGrid:
         single = [eigenvalue(SpectralParameter.principal(x), 4.0) for x in s]
         assert np.max(np.abs(grid - single)) <= 1e-9
 
+    def test_progression_chunks_agree(self, monkeypatch):
+        # 100 values per chunk: three coarse rows and one panel at a time
+        s = np.arange(200) * 0.05
+        whole = principal_grid(s, 7.0)
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 100)
+        np.testing.assert_allclose(principal_grid(s, 7.0), whole, rtol=0.0, atol=1e-14)
+
     def test_rejects_negative_grid(self):
         with pytest.raises(DomainError):
             principal_grid([-1.0, 0.0], 2.0)
