@@ -17,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _BLOCK_ELEMENTS
 
 # diag(exp(r/2), exp(-r/2)) entries stay well inside double range up to
 # here; beyond, squared coordinates start to drown the distance formula
 MAX_CIRCLE_RADIUS = 40.0
+
+# circle angles composed at once; each holds about 21 temporaries, so one
+# block stays near 11 MB however many points the circle has
+_BLOCK_POINTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarr
     rotation matrix acts on the plane by twice its angle, hence theta/2.
     Supported radii: 0 <= r <= MAX_CIRCLE_RADIUS.  A circle whose points
     are not representable in double precision raises DomainError.  The
-    angles are composed in blocks of _BLOCK_ELEMENTS, so the temporaries
+    angles are composed in blocks of _BLOCK_POINTS, so the temporaries
     do not grow with the number of points.
     """
     if not (math.isfinite(r) and r >= 0.0):
@@ -208,8 +211,8 @@ def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarr
         base = _unit_det(*_origin_to(center))
         push = _unit_det(*_push(r))
     # elementwise, so blocks of angles give the same bits as one composition
-    for start in range(0, angles.size, _BLOCK_ELEMENTS):
-        block = slice(start, start + _BLOCK_ELEMENTS)
+    for start in range(0, angles.size, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
         with np.errstate(all="ignore"):
             g = _unit_det(*_compose(base, _unit_det(*_rotation(0.5 * angles[block]))))
             g = _unit_det(*_compose(g, push))

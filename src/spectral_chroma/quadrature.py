@@ -100,7 +100,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 _EPS = float(np.finfo(float).eps)
 
 # values held at once by one block of work: integrand values (items x
-# panels x 15 nodes), trigonometric tables and their products, circle points
+# panels x 15 nodes), or trigonometric tables and their products
 _BLOCK_ELEMENTS = 65_536
 
 
@@ -139,9 +139,11 @@ def panel_rule(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights:
 
 
 def _cosine_progression(s0: float, step: float, n_items: int,
-                       phase: Callable[[np.ndarray], np.ndarray],
-                       weight: Callable[[np.ndarray], np.ndarray]):
-    """Pass evaluator for f_k(t) = cos((s0 + k step) phase(t)) weight(t), k < n_items.
+                        phase: Callable[[np.ndarray], np.ndarray],
+                        weight: Callable[[np.ndarray], np.ndarray],
+                        n_panels: int, abs_tol: float,
+                        max_subdivisions: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integrate f_k(t) = cos((s0 + k step) phase(t)) weight(t), k < n_items, over [0, 1].
 
     With k = a B + b and B = ceil(sqrt(n_items)), cos(s_k phase) is the real
     part of exp(i (s0 + a B step) phase) exp(i b step phase).  So on each
@@ -153,7 +155,8 @@ def _cosine_progression(s0: float, step: float, n_items: int,
     integrand values is never built.  Rows and panels are taken in chunks
     whose tables and products hold at most _BLOCK_ELEMENTS values.  The
     round-off floor uses kron_abs = h sum K_j |w|, which bounds int |f_k|
-    for every k since |cos| <= 1.
+    for every k since |cos| <= 1.  Panels, refinement, the budget and the
+    result are _refine's, as in integrate.
     """
     width = math.isqrt(n_items - 1) + 1
     fine = np.arange(width) * step
@@ -191,7 +194,7 @@ def _cosine_progression(s0: float, step: float, n_items: int,
             at = (np.searchsorted(chunk, coarse_of[lo:hi]), fine_of[lo:hi])
             yield todo[lo:hi], sums[0][at], sums[1][at], sums[2][at]
 
-    return evaluate
+    return _refine(evaluate, n_items, n_panels, abs_tol, max_subdivisions)
 
 
 def initial_panels(width: float, max_panel_width: float, max_subdivisions: int) -> int:

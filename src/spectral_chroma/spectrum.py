@@ -11,7 +11,8 @@ single reducer with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +47,10 @@ class SpectrumSummary:
     function is an eigenfunction with eigenvalue 1, while the plane itself
     has sup strictly below 1; the bound pipeline uses the quotient value.
     m_numeric is the scanned (uncertified) minimum; m_analytic the
-    certified floor -(r+1)exp(-r/2).  The summary holds no grid, so
-    keeping summaries costs no memory per grid point.
+    certified floor -(r+1)exp(-r/2).  grid and grid_values are the
+    scanned grid and its eigenvalues (None when degenerate); they are
+    computed on first read and then kept, so a summary whose grid is never
+    read holds no array.
     """
 
     r: float
@@ -58,6 +61,19 @@ class SpectrumSummary:
     s_max_scanned: float
     grid_step: float
     degenerate: bool = False
+    _quad: QuadratureSpec = field(default=DEFAULT_QUADRATURE, compare=False, repr=False)
+
+    @cached_property
+    def grid(self) -> np.ndarray | None:
+        return None if self.degenerate else _scan_grid(self.s_max_scanned, self.grid_step)
+
+    @cached_property
+    def grid_values(self) -> np.ndarray | None:
+        return None if self.degenerate else principal_grid(self.grid, self.r, self._quad)
+
+
+def _scan_grid(s_max: float, grid_step: float) -> np.ndarray:
+    return np.arange(0.0, s_max + 0.5 * grid_step, grid_step)
 
 
 def default_s_max(r: float) -> float:
@@ -100,9 +116,10 @@ def scan_principal(
 
 def _scan(r: float, s_max: float | None, grid_step: float,
           quad: QuadratureSpec) -> tuple[SpectrumSummary, np.ndarray | None, np.ndarray | None]:
-    """scan_principal's summary, with the scanned grid and its eigenvalues.
+    """scan_principal's summary, with the grid and eigenvalues it scanned.
 
-    The grid and values are None when the scan is degenerate.
+    The grid and values are None when the scan is degenerate.  The CSV scan
+    prints them, so it evaluates its grid once.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"scan needs r > 0, got {r}")
@@ -122,10 +139,10 @@ def _scan(r: float, s_max: float | None, grid_step: float,
     if env < max(10.0 * quad.abs_tol, _DEGENERATE_FLOOR):
         return SpectrumSummary(
             r=r, M=1.0, m_numeric=0.0, m_analytic=m_analytic, argmin_s=0.0,
-            s_max_scanned=s_max, grid_step=grid_step, degenerate=True,
+            s_max_scanned=s_max, grid_step=grid_step, degenerate=True, _quad=quad,
         ), None, None
 
-    grid = np.arange(0.0, s_max + 0.5 * grid_step, grid_step)
+    grid = _scan_grid(s_max, grid_step)
     values = principal_grid(grid, r, quad)
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
@@ -137,7 +154,7 @@ def _scan(r: float, s_max: float | None, grid_step: float,
 
     return SpectrumSummary(
         r=r, M=1.0, m_numeric=m_refined, m_analytic=m_analytic, argmin_s=argmin_s,
-        s_max_scanned=float(s_max), grid_step=float(grid_step),
+        s_max_scanned=float(s_max), grid_step=float(grid_step), _quad=quad,
     ), grid, values
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepSizeUnderflow
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, _refine, initial_panels, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, initial_panels, integrate
 
 _SQRT2_OVER_PI = math.sqrt(2.0) / math.pi
 
@@ -164,9 +164,10 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
         step = v[1] - v[0]
         if np.array_equal(v, v[0] + np.arange(v.size) * step):
-            grid = _cosine_progression(v[0], step, v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
-                                       lambda t: _SQRT2_OVER_PI * _smooth_weight(t, r))
-            out[live] = _refine(grid, v.size, n_panels, quad.abs_tol, quad.max_subdivisions)[0]
+            out[live] = _cosine_progression(
+                v[0], step, v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
+                lambda t: _SQRT2_OVER_PI * _smooth_weight(t, r),
+                n_panels, quad.abs_tol, quad.max_subdivisions)[0]
             return out
     kernel = np.cos if kind == PRINCIPAL else np.cosh
 

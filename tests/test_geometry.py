@@ -180,7 +180,7 @@ class TestCirclePoint:
     def test_blocks_give_the_same_bits(self, monkeypatch):
         thetas = np.arange(100) * (2.0 * math.pi / 100)
         whole = circle_coords(Point(0.7, 2.0), 1.5, thetas)
-        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 7)
         np.testing.assert_array_equal(circle_coords(Point(0.7, 2.0), 1.5, thetas), whole)
 
     def test_memory_is_bounded_by_blocks(self):

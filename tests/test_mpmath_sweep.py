@@ -1,5 +1,7 @@
 """Property sweeps of the quadrature eigenvalue and grid against mpmath's Legendre function."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from spectral_chroma import DEFAULT_QUADRATURE, QuadratureSpec, SpectralParameter, eigenvalue, principal_grid
+import spectral_chroma.spherical as spherical
 from spectral_chroma.spherical import MAX_EVAL_RADIUS, PRINCIPAL, _eigenvalue_batch
 
 PARAMETERS = st.one_of(
@@ -46,17 +49,30 @@ def node_path(s, r):
     return _eigenvalue_batch(PRINCIPAL, s, np.full(s.size, r), DEFAULT_QUADRATURE)
 
 
+# (s0, step): s0 = 0 with any step, or both on the lattice of 1/1024, where
+# every s0 + k step is exact; either way the grid is a progression to the
+# bit, which principal_grid requires of its matrix path
+GRIDS = st.one_of(
+    st.tuples(st.just(0.0), st.floats(0.01, 1.0)),
+    st.tuples(st.integers(0, 100 * 1024), st.integers(11, 1024)).map(
+        lambda ij: (ij[0] / 1024, ij[1] / 1024)),
+)
+
+
 @settings(deadline=None, max_examples=20)
-@given(r=st.floats(0.0, 40.0, exclude_min=True), step=st.floats(0.01, 1.0),
-       n=st.integers(2, 3000), s0=st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
-# the grid ends at s = 85, where coarse panels at r = 30 agree with each other but not with the truth
-@example(r=30.0, step=0.5, n=171, s0=0.0)
-def test_progression_grid_within_abs_tol(r, step, n, s0):
+@given(r=st.floats(0.0, 40.0, exclude_min=True), start_step=GRIDS, n=st.integers(2, 3000))
+# both grids reach s = 85, where coarse panels at r = 30 agree with each other but not with the truth
+@example(r=30.0, start_step=(0.0, 0.5), n=171)
+@example(r=30.0, start_step=(50.0, 0.5), n=71)
+def test_progression_grid_within_abs_tol(r, start_step, n):
+    s0, step = start_step
     # at most 100 in s past s0, the span of the default scan grid for
     # r >= 0.4, so the point-by-point reference stays affordable
     n = min(n, 1 + int(100.0 / step))
     s = s0 + np.arange(n) * step
-    grid = principal_grid(s, r)
+    with mock.patch.object(spherical, "_cosine_progression", wraps=spherical._cosine_progression) as matrix:
+        grid = principal_grid(s, r)
+    assert matrix.call_count == 1
     single = np.array([eigenvalue(SpectralParameter.principal(x), r) for x in s])
     assert np.max(np.abs(grid - single)) <= DEFAULT_QUADRATURE.abs_tol
     for k in {0, n // 3, (2 * n) // 3, n - 1}:
@@ -65,7 +81,9 @@ def test_progression_grid_within_abs_tol(r, step, n, s0):
     off = s[:64].copy()
     off[-1] += 0.5 * step
     if off.size > 2:
-        np.testing.assert_array_equal(principal_grid(off, r), node_path(off, r))
+        with mock.patch.object(spherical, "_cosine_progression") as matrix:
+            np.testing.assert_array_equal(principal_grid(off, r), node_path(off, r))
+        assert matrix.call_count == 0
 
 
 @pytest.mark.xfail(strict=True, reason="the (200 raw)^1.5 estimate lacks QUADPACK's resasc scale")

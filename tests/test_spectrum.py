@@ -7,10 +7,10 @@ import spectral_chroma.geometry as geometry
 import spectral_chroma.quadrature as quadrature
 import spectral_chroma.spectrum as spectrum
 from spectral_chroma import (
-    DEFAULT_QUADRATURE,
     ORIGIN,
     DomainError,
     Point,
+    QuadratureSpec,
     SpectralParameter,
     envelope,
     full_range_floor,
@@ -77,13 +77,22 @@ class TestScanPrincipal:
         assert summary.s_max_scanned == 100.0
 
     def test_keeps_its_grid(self):
-        # the CSV scan's grid comes with the summary; the summary holds no array
-        summary, grid, values = spectrum._scan(4.0, 5.0, 0.5, DEFAULT_QUADRATURE)
-        np.testing.assert_array_equal(grid, np.arange(0.0, 5.25, 0.5))
-        np.testing.assert_array_equal(values, principal_grid(grid, 4.0))
+        summary = scan_principal(4.0, s_max=5.0, grid_step=0.5)
+        np.testing.assert_array_equal(summary.grid, np.arange(0.0, 5.25, 0.5))
+        np.testing.assert_array_equal(summary.grid_values, principal_grid(summary.grid, 4.0))
         assert summary == scan_principal(4.0, s_max=5.0, grid_step=0.5)
+        assert scan_principal(80.0).grid_values is None
+
+    def test_grid_is_computed_on_first_read(self):
+        # the summary holds no array until its grid is read, and then the
+        # scanned values, under the scan's own quadrature settings
+        quad = QuadratureSpec(abs_tol=1e-12)
+        summary, grid, values = spectrum._scan(4.0, 5.0, 0.5, quad)
         assert not any(isinstance(v, np.ndarray) for v in vars(summary).values())
-        assert spectrum._scan(80.0, None, 0.05, DEFAULT_QUADRATURE)[1:] == (None, None)
+        np.testing.assert_array_equal(summary.grid, grid)
+        np.testing.assert_array_equal(summary.grid_values, values)
+        assert summary.grid_values is summary.grid_values
+        assert spectrum._scan(80.0, None, 0.05, quad)[1:] == (None, None)
 
     def test_grid_size_capped_before_allocation(self):
         with pytest.raises(DomainError, match="scan grid"):
