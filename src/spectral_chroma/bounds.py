@@ -165,32 +165,26 @@ def _pp_chi_upper(r: float) -> int | None:
     return None
 
 
-def main_bounds(
-    r: float,
-    use_scanned_m: bool = False,
-    summary: SpectrumSummary | None = None,
-) -> BoundReport:
+def main_bounds(r: float, summary: SpectrumSummary | None = None) -> BoundReport:
     """Bound report for radius r.
 
-    The default floor is the certified -(r+1)exp(-r/2); with
-    ``use_scanned_m`` the scanned minimum from ``summary`` is used instead
-    and the report is labeled as numerical and uncertified.  Values are
-    reported as the formulas give them; an independence-ratio bound above 1
-    or a chromatic bound below 1 is flagged vacuous, not clamped.
+    The default floor is the certified -(r+1)exp(-r/2); given a scan
+    ``summary`` at r, its scanned minimum is used instead and the report is
+    labeled as numerical and uncertified.  Values are reported as the
+    formulas give them; an independence-ratio bound above 1 or a chromatic
+    bound below 1 is flagged vacuous, not clamped.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"bounds need r > 0, got {r}")
     env = envelope(r)
     if env == 0.0:
         raise DomainError(f"envelope underflows to zero at r = {r}; use log_envelope")
-    if use_scanned_m:
-        if summary is None:
-            raise DomainError("use_scanned_m requires a scan summary")
-        if summary.r != r:
-            raise DomainError(f"scan summary is for r = {summary.r}, not r = {r}")
-        m_used, provenance = summary.m_numeric, SCANNED
-    else:
+    if summary is None:
         m_used, provenance = -env, CERTIFIED
+    elif summary.r != r:
+        raise DomainError(f"scan summary is for r = {summary.r}, not r = {r}")
+    else:
+        m_used, provenance = summary.m_numeric, SCANNED
 
     operator = hoffman_operator(HoffmanInputs(M=1.0, m=m_used, R=1.0, epsilon=0.0))
     relaxed = env

@@ -2,9 +2,12 @@
 
 Commands: eval | scan | bounds | graph | verify.  Every numeric result is
 emitted together with a provenance label ("certified-analytic",
-"numerical-scan" or "formula").  Defaults come from built-ins, overridden
-by an optional key=value config file (path in SPECTRAL_CHROMA_CONFIG),
-overridden in turn by flags.
+"numerical-scan" or "formula").  eval, scan and verify take defaults from
+built-ins, overridden by an optional key=value config file (path in
+SPECTRAL_CHROMA_CONFIG, keys QuadratureSpec's fields plus s_max, step and
+n), overridden in turn by flags; their JSON meta is the QuadratureSpec
+used.  The bounds CSV row is the fields of BoundReport and NevoComparison.
+A reader that closes stdout early (``| head``) is not an error.
 
 Exit codes: 0 ok, 2 usage or malformed input, 3 tolerance not reached,
 4 degenerate input, 5 verification failure.
@@ -16,9 +19,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields, replace
 
 from . import __version__
-from .bounds import CERTIFIED, SCANNED, BoundReport, compare, hoffman_finite, read_edge_list
+from .bounds import (
+    CERTIFIED,
+    SCANNED,
+    BoundReport,
+    NevoComparison,
+    compare,
+    hoffman_finite,
+    read_edge_list,
+)
 from .errors import (
     DomainError,
     EdgeListError,
@@ -27,8 +39,8 @@ from .errors import (
     ToleranceNotReached,
 )
 from .geometry import Point
-from .quadrature import QuadratureSpec
-from .spectrum import REFINE_XTOL, _scan, verify_eigenfunction
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
+from .spectrum import _GRID_STEP, REFINE_XTOL, _scan, verify_eigenfunction
 from .spherical import SpectralParameter, eigenvalue, envelope
 
 EXIT_OK = 0
@@ -42,13 +54,23 @@ VERIFY_THRESHOLD = 1e-6
 
 FORMULA = "formula"
 
-_CONFIG_KEYS = {
-    "abs_tol": float,
-    "max_subdivisions": int,
-    "oscillation_panel_factor": float,
-    "s_max": float,
-    "step": float,
-    "n": int,
+# built-in defaults of the flags that a config key of the same name may
+# set; s_max None leaves scan its own window, max(100, 40/r)
+_FLAG_DEFAULTS = {"s_max": None, "step": _GRID_STEP, "n": 2048}
+# config key -> type: QuadratureSpec's fields, then those flags
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(QuadratureSpec)}
+_CONFIG_KEYS.update(s_max=float, step=float, n=int)
+
+# CSV names of the NevoComparison fields whose name differs, after "nevo_"
+_NEVO_CSV_NAMES = {"lam": "lambda", "c_exponent": "c"}
+
+_EXIT_CODES = {
+    DomainError: EXIT_USAGE,
+    PreconditionViolation: EXIT_USAGE,
+    EdgeListError: EXIT_USAGE,
+    OSError: EXIT_USAGE,  # a missing or unreadable input or config file
+    EdgelessGraphError: EXIT_DEGENERATE,
+    ToleranceNotReached: EXIT_TOLERANCE,
 }
 
 
@@ -75,31 +97,32 @@ def _load_config() -> dict:
     return cfg
 
 
-def _quadrature(cfg: dict, abs_tol_flag: float | None = None) -> QuadratureSpec:
-    base = QuadratureSpec()
-    return QuadratureSpec(
-        abs_tol=abs_tol_flag if abs_tol_flag is not None else cfg.get("abs_tol", base.abs_tol),
-        max_subdivisions=cfg.get("max_subdivisions", base.max_subdivisions),
-        oscillation_panel_factor=cfg.get(
-            "oscillation_panel_factor", base.oscillation_panel_factor
-        ),
-    )
+def _configure(args) -> QuadratureSpec:
+    """Fill the command's unset flags from the config file, else the built-ins.
+
+    Returns DEFAULT_QUADRATURE with the file's quadrature keys replaced,
+    and eval's --tol, when given, over abs_tol.
+    """
+    cfg = _load_config()
+    for key in _FLAG_DEFAULTS.keys() & vars(args).keys():
+        if getattr(args, key) is None:
+            setattr(args, key, cfg.get(key, _FLAG_DEFAULTS[key]))
+    quad = {f.name: cfg[f.name] for f in fields(QuadratureSpec) if f.name in cfg}
+    if getattr(args, "tol", None) is not None:
+        quad["abs_tol"] = args.tol
+    return replace(DEFAULT_QUADRATURE, **quad)
 
 
 def _num(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
+
 def _quad_meta(quad: QuadratureSpec) -> dict:
-    return {
-        "abs_tol": quad.abs_tol,
-        "max_subdivisions": quad.max_subdivisions,
-        "oscillation_panel_factor": quad.oscillation_panel_factor,
-        "version": __version__,
-    }
+    return {**asdict(quad), "version": __version__}
 
 
-def _emit_json(record: dict):
-    print(json.dumps(record, indent=2))
+def _json(record: dict) -> str:
+    return json.dumps(record, indent=2) + "\n"
 
 
 def _require_positive(name: str, value: float):
@@ -124,15 +147,14 @@ def _parse_base(text: str) -> Point:
     return Point(x, y)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
-    cfg = _load_config()
-    quad = _quadrature(cfg, args.tol)
+    quad = _configure(args)
     param = _parameter(args)
     value = eigenvalue(param, args.r, quad)
     inputs = {"r": args.r}
     inputs["s" if param.kind == "principal" else "sigma"] = param.sign * param.value
-    _emit_json({
+    return _json({
         "command": "eval",
         "inputs": inputs,
         "results": {
@@ -140,17 +162,13 @@ def _cmd_eval(args) -> int:
             "envelope": _num(envelope(args.r), FORMULA),
         },
         "meta": _quad_meta(quad),
-    })
-    return EXIT_OK
+    }), EXIT_OK
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
-    cfg = _load_config()
-    quad = _quadrature(cfg)
-    s_max = args.s_max if args.s_max is not None else cfg.get("s_max")
-    step = args.step if args.step is not None else cfg.get("step", 0.05)
-    summary, grid, values = _scan(args.r, s_max, step, quad)
+    quad = _configure(args)
+    summary, grid, values = _scan(args.r, args.s_max, args.step, quad)
 
     record = {
         "command": "scan",
@@ -165,15 +183,12 @@ def _cmd_scan(args) -> int:
         "meta": {**_quad_meta(quad), "refine_xtol": REFINE_XTOL},
     }
     if args.format == "json":
-        _emit_json(record)
-        return EXIT_OK
+        return _json(record), EXIT_OK
     # CSV: summary as a comment line, then plot-ready grid rows
-    print("# " + json.dumps(record, separators=(",", ":")))
-    print("s,value")
+    lines = ["# " + json.dumps(record, separators=(",", ":")), "s,value"]
     if not summary.degenerate:
-        for s, v in zip(grid, values):
-            print(f"{float(s)!r},{float(v)!r}")
-    return EXIT_OK
+        lines += [f"{float(s)!r},{float(v)!r}" for s, v in zip(grid, values)]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _bounds_results(report: BoundReport) -> dict:
@@ -196,7 +211,15 @@ def _bounds_results(report: BoundReport) -> dict:
     return results
 
 
-def _cmd_bounds(args) -> int:
+def _bounds_row(report: BoundReport) -> dict:
+    """BoundReport's fields by name, then NevoComparison's as nevo_ columns."""
+    row = asdict(report)
+    nevo = row.pop("nevo") or dict.fromkeys(f.name for f in fields(NevoComparison))
+    row.update(("nevo_" + _NEVO_CSV_NAMES.get(name, name), value) for name, value in nevo.items())
+    return row
+
+
+def _cmd_bounds(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
     report = compare(args.r, args.lam, args.c)
     inputs = {"r": args.r}
@@ -211,27 +234,9 @@ def _cmd_bounds(args) -> int:
         "meta": {"version": __version__},
     }
     if args.format == "json":
-        _emit_json(record)
-        return EXIT_OK
-    fields = [
-        ("r", report.r),
-        ("ind_ratio_exact", report.ind_ratio_exact),
-        ("ind_ratio_relaxed", report.ind_ratio_relaxed),
-        ("chi_lower", report.chi_lower),
-        ("pp_chi_upper", report.pp_chi_upper),
-        ("m_used", report.m_used),
-        ("m_provenance", report.m_provenance),
-        ("ind_ratio_vacuous", report.ind_ratio_vacuous),
-        ("chi_lower_vacuous", report.chi_lower_vacuous),
-        ("nevo_lambda", report.nevo.lam if report.nevo else None),
-        ("nevo_c", report.nevo.c_exponent if report.nevo else None),
-        ("nevo_beta", report.nevo.beta if report.nevo else None),
-        ("nevo_alpha_bound", report.nevo.alpha_bound if report.nevo else None),
-        ("nevo_winner", report.nevo.winner if report.nevo else None),
-    ]
-    print(",".join(name for name, _ in fields))
-    print(",".join(_csv_cell(value) for _, value in fields))
-    return EXIT_OK
+        return _json(record), EXIT_OK
+    row = _bounds_row(report)
+    return ",".join(row) + "\n" + ",".join(map(_csv_cell, row.values())) + "\n", EXIT_OK
 
 
 def _csv_cell(value) -> str:
@@ -244,10 +249,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> tuple[str, int]:
     adjacency = read_edge_list(args.input)
     result = hoffman_finite(adjacency, regular=args.regular)
-    _emit_json({
+    return _json({
         "command": "graph",
         "inputs": {"input": args.input, "n": result.n, "regular": args.regular},
         "results": {
@@ -257,22 +262,19 @@ def _cmd_graph(args) -> int:
             "chi_bound": _num(result.chi_bound, FORMULA),
         },
         "meta": {"version": __version__},
-    })
-    return EXIT_OK
+    }), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
-    cfg = _load_config()
-    quad = _quadrature(cfg)
-    n_points = args.n if args.n is not None else cfg.get("n", 2048)
+    quad = _configure(args)
     param = _parameter(args)
     base = _parse_base(args.base)
-    residual = verify_eigenfunction(param, args.r, base, n_points, quad)
+    residual = verify_eigenfunction(param, args.r, base, args.n, quad)
     passed = residual < VERIFY_THRESHOLD
-    inputs = {"r": args.r, "n": n_points, "base": args.base}
+    inputs = {"r": args.r, "n": args.n, "base": args.base}
     inputs["s" if param.kind == "principal" else "sigma"] = param.sign * param.value
-    _emit_json({
+    return _json({
         "command": "verify",
         "inputs": inputs,
         "results": {
@@ -281,8 +283,7 @@ def _cmd_verify(args) -> int:
             "passed": passed,
         },
         "meta": _quad_meta(quad),
-    })
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    }), EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def _add_parameter_flags(sub: argparse.ArgumentParser):
@@ -308,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan the principal series for its minimum")
     p_scan.add_argument("--r", type=float, required=True)
     p_scan.add_argument("--s-max", dest="s_max", type=float, help="scan window end (default max(100, 40/r))")
-    p_scan.add_argument("--step", type=float, help="grid step (default 0.05)")
+    p_scan.add_argument("--step", type=float, help=f"grid step (default {_GRID_STEP})")
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.set_defaults(handler=_cmd_scan)
 
@@ -327,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check the eigenfunction identity by circle averaging")
     p_verify.add_argument("--r", type=float, required=True)
     _add_parameter_flags(p_verify)
-    p_verify.add_argument("--n", type=int, help="circle sample count (default 2048)")
+    p_verify.add_argument("--n", type=int, help=f"circle sample count (default {_FLAG_DEFAULTS['n']})")
     p_verify.add_argument("--base", default="0.0,1.0", help="base point as 'x,y' (default origin)")
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -337,19 +338,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (DomainError, PreconditionViolation, EdgeListError) as exc:
+        output, code = args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EdgelessGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ToleranceNotReached as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early and wants no more; send what is
+        # still buffered, and the flush at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -77,21 +77,16 @@ _WEIGHTS_GAUSS = np.array([
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error budget and panel policy for the integrator."""
+    """Error budget for the integrator."""
 
     abs_tol: float = 1e-10
     max_subdivisions: int = 65536
-    oscillation_panel_factor: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        if not (math.isfinite(self.oscillation_panel_factor) and self.oscillation_panel_factor > 0.0):
-            raise DomainError(
-                f"oscillation_panel_factor must be positive, got {self.oscillation_panel_factor}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

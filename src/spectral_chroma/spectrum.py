@@ -34,6 +34,9 @@ _DEGENERATE_FLOOR = 1e-12
 #: golden-section refinement width in s
 REFINE_XTOL = 1e-9
 
+# default scan grid step in s
+_GRID_STEP = 0.05
+
 #: scan grids and circle samples beyond this many points are rejected
 #: before anything is allocated
 MAX_BATCH_POINTS = 1_000_000
@@ -101,7 +104,7 @@ def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
 def scan_principal(
     r: float,
     s_max: float | None = None,
-    grid_step: float = 0.05,
+    grid_step: float = _GRID_STEP,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> SpectrumSummary:
     """Scan the principal series on [0, s_max] and refine the minimum.

@@ -34,6 +34,8 @@ from .errors import DomainError, StepSizeUnderflow
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, initial_panels, integrate
 
 _SQRT2_OVER_PI = math.sqrt(2.0) / math.pi
+# widest initial panel in u = sqrt(r) t, in units of 1 / max(value, 1)
+_PANEL_PHASE = 0.5 * math.pi
 
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
@@ -143,9 +145,9 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     """Eigenvalues of one kind for canonical parameters at one or per-item radii.
 
     All items start on uniform panels in t = u / sqrt(r), none wider in u
-    than oscillation_panel_factor * pi / max(value, 1) for any item, so each
-    sees a bounded stretch of the oscillation; the panels of items that miss
-    quad.abs_tol are doubled.  Principal-series values at one radius that
+    than _PANEL_PHASE / max(value, 1) for any item, so each sees a bounded
+    stretch of the oscillation; the panels of items that miss quad.abs_tol
+    are doubled.  Principal-series values at one radius that
     form an arithmetic progression (every scan grid) are summed as matrix
     products of shared cosine tables; every other batch, including a batch
     of one, from integrand values at the nodes.  r = 0 gives the limit
@@ -159,8 +161,8 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     if live.size == 0:
         return out
     v, r = values[live], (radii if radii.ndim == 0 else radii[live])
-    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))),
-                              quad.oscillation_panel_factor * math.pi, quad.max_subdivisions)
+    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))), _PANEL_PHASE,
+                              quad.max_subdivisions)
     if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
         step = v[1] - v[0]
         if np.array_equal(v, v[0] + np.arange(v.size) * step):

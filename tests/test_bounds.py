@@ -187,7 +187,7 @@ class TestMainBounds:
             r=4.0, M=1.0, m_numeric=-0.15, m_analytic=-envelope(4.0),
             argmin_s=1.0, s_max_scanned=50.0, grid_step=0.05,
         )
-        rep = main_bounds(4.0, use_scanned_m=True, summary=summary)
+        rep = main_bounds(4.0, summary=summary)
         assert rep.m_used == -0.15
         assert rep.m_provenance == "numerical-scan"
         assert rep.ind_ratio_exact == pytest.approx(0.15 / 1.15, rel=1e-14)
@@ -195,14 +195,12 @@ class TestMainBounds:
         assert rep.ind_ratio_exact < main_bounds(4.0).ind_ratio_exact
 
     def test_scanned_floor_requires_matching_summary(self):
-        with pytest.raises(DomainError):
-            main_bounds(4.0, use_scanned_m=True, summary=None)
         summary = SpectrumSummary(
             r=3.0, M=1.0, m_numeric=-0.2, m_analytic=-envelope(3.0),
             argmin_s=1.0, s_max_scanned=50.0, grid_step=0.05,
         )
         with pytest.raises(DomainError):
-            main_bounds(4.0, use_scanned_m=True, summary=summary)
+            main_bounds(4.0, summary=summary)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from spectral_chroma import cli, spectrum
 from spectral_chroma import (
     QuadratureSpec,
     SpectralParameter,
+    compare,
     eigenvalue,
     envelope,
     main_bounds,
@@ -39,8 +40,19 @@ PETERSEN_EDGES = """\
 """
 
 
+BOUNDS_CSV_HEADER = (
+    "r,ind_ratio_exact,ind_ratio_relaxed,chi_lower,pp_chi_upper,m_used,m_provenance,"
+    "ind_ratio_vacuous,chi_lower_vacuous,nevo_lambda,nevo_c,nevo_beta,nevo_alpha_bound,"
+    "nevo_winner"
+)
+
+
+def cli_env():
+    return {k: v for k, v in os.environ.items() if k != "SPECTRAL_CHROMA_CONFIG"}
+
+
 def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "SPECTRAL_CHROMA_CONFIG"}
+    env = cli_env()
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -189,6 +201,18 @@ class TestBounds:
         assert float(cells["chi_lower"]) == main_bounds(10.0).chi_lower
         assert cells["pp_chi_upper"] == "45"
         assert cells["nevo_winner"] == "nevo"
+        rep, duel = main_bounds(10.0), compare(10.0, lam=2.0).nevo
+        head = (
+            f"10.0,{rep.ind_ratio_exact!r},{rep.ind_ratio_relaxed!r},{rep.chi_lower!r},45,"
+            f"{rep.m_used!r},certified-analytic,false,false,"
+        )
+        expected = {
+            ("--lambda", "2"): head + f"2.0,,{duel.beta!r},{duel.alpha_bound!r},nevo",
+            (): head + ",,,,",
+        }
+        for flags, line in expected.items():
+            _, out, _ = run_cli("bounds", "--r", "10", *flags, "--format", "csv")
+            assert out == BOUNDS_CSV_HEADER + "\n" + line + "\n"
 
 
 class TestGraph:
@@ -299,6 +323,76 @@ class TestConfigFile:
         rec = json.loads(out)
         assert rec["inputs"]["s_max"] == 5.0
         assert rec["inputs"]["step"] == 0.5
+
+    @pytest.mark.parametrize("config, argv, section, expected", [
+        ("n = 64\n", ("verify", "--r", "1.5", "--s", "2"), "inputs", {"n": 64}),
+        ("abs_tol = 1e-8\nmax_subdivisions = 4096\n",
+         ("scan", "--r", "4", "--s-max", "5", "--step", "0.5"),
+         "meta", {"abs_tol": 1e-8, "max_subdivisions": 4096}),
+        ("abs_tol = 1e-8\nmax_subdivisions = 4096\n",
+         ("verify", "--r", "1.5", "--s", "2", "--n", "64"),
+         "meta", {"abs_tol": 1e-8, "max_subdivisions": 4096}),
+        ("s_max = 5\nstep = 0.5\n",
+         ("scan", "--r", "4", "--s-max", "3", "--step", "0.25"),
+         "inputs", {"s_max": 3.0, "step": 0.25}),
+        ("n = 64\n", ("verify", "--r", "1.5", "--s", "2", "--n", "32"), "inputs", {"n": 32}),
+    ], ids=["n", "quad-scan", "quad-verify", "scan-flags-win", "n-flag-wins"])
+    def test_settings_reach_the_record(self, tmp_path, config, argv, section, expected):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        code, out, _ = run_cli(*argv, env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)})
+        assert code == 0
+        record = json.loads(out)[section]
+        assert {key: record[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("command", ["bounds", "graph"])
+    def test_bounds_and_graph_never_read_the_file(self, tmp_path, command):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("not a setting\n")
+        edges = tmp_path / "petersen.txt"
+        edges.write_text(PETERSEN_EDGES)
+        argv = ("bounds", "--r", "10") if command == "bounds" else ("graph", "--input", str(edges))
+        env = {"SPECTRAL_CHROMA_CONFIG": str(cfg)}
+        assert run_cli(*argv, env_extra=env)[0] == 0
+        assert run_cli("eval", "--r", "2", "--s", "1", env_extra=env)[0] == 2
+
+    def test_missing_file_is_a_usage_error(self, tmp_path):
+        code, out, err = run_cli(
+            "eval", "--r", "2", "--s", "1",
+            env_extra={"SPECTRAL_CHROMA_CONFIG": str(tmp_path / "nope")},
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets no error line and the command's own code."""
+
+    @staticmethod
+    def spawn(*args):
+        return subprocess.Popen(
+            [sys.executable, "-m", "spectral_chroma", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        )
+
+    def test_head_of_csv_scan(self):
+        # about 80 KB of rows overflow the pipe buffer, so the write meets
+        # the closed pipe
+        proc = self.spawn("scan", "--r", "4", "--format", "csv")
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.startswith(b"# {")
+        assert err == b""
+        assert proc.returncode == 0
+
+    def test_failing_verify_keeps_exit_5(self):
+        proc = self.spawn("verify", "--r", "3", "--s", "6", "--n", "8", "--base", "1.5,0.7")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 5
 
 
 class TestMisc:

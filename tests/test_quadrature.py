@@ -105,7 +105,6 @@ class TestQuadratureSpec:
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-10
         assert spec.max_subdivisions == 65536
-        assert spec.oscillation_panel_factor == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -114,7 +113,6 @@ class TestQuadratureSpec:
             {"abs_tol": -1e-10},
             {"abs_tol": math.nan},
             {"max_subdivisions": 0},
-            {"oscillation_panel_factor": 0.0},
         ],
     )
     def test_validation(self, kwargs):
