@@ -22,15 +22,7 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from . import __version__
-from .bounds import (
-    CERTIFIED,
-    SCANNED,
-    BoundReport,
-    NevoComparison,
-    compare,
-    hoffman_finite,
-    read_edge_list,
-)
+from .bounds import CERTIFIED, SCANNED, BoundReport, NevoComparison, compare, hoffman_finite, read_edge_list
 from .errors import (
     DomainError,
     EdgeListError,

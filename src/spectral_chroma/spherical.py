@@ -161,8 +161,8 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     if live.size == 0:
         return out
     v, r = values[live], (radii if radii.ndim == 0 else radii[live])
-    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))), _PANEL_PHASE,
-                              quad.max_subdivisions)
+    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))),
+                              _PANEL_PHASE, quad.max_subdivisions)
     if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
         step = v[1] - v[0]
         if np.array_equal(v, v[0] + np.arange(v.size) * step):

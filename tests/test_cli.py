@@ -371,15 +371,18 @@ class TestClosedStdout:
 
     @staticmethod
     def spawn(*args):
+        # block-buffered stdout, as in a shell pipeline; unbuffered, a
+        # write cut short by the closing reader can end without an error
+        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
         return subprocess.Popen(
             [sys.executable, "-m", "spectral_chroma", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
 
     def test_head_of_csv_scan(self):
-        # about 80 KB of rows overflow the pipe buffer, so the write meets
-        # the closed pipe
-        proc = self.spawn("scan", "--r", "4", "--format", "csv")
+        # about 290 KB of rows overflow a 64 KB pipe buffer, so the write
+        # meets the closed pipe (the default grid's 63 KB could fit)
+        proc = self.spawn("scan", "--r", "4", "--step", "0.01", "--format", "csv")
         first = proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
