@@ -149,7 +149,7 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     stretch of the oscillation; the panels of items that miss quad.abs_tol
     are doubled.  Principal-series values at one radius that
     form an arithmetic progression (every scan grid) are summed as matrix
-    products of shared cosine tables; every other batch, including a batch
+    products of shared exponential tables; every other batch, including a batch
     of one, from integrand values at the nodes.  r = 0 gives the limit
     value 1.
     """

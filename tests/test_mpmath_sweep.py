@@ -64,6 +64,8 @@ GRIDS = st.one_of(
 # both grids reach s = 85, where coarse panels at r = 30 agree with each other but not with the truth
 @example(r=30.0, start_step=(0.0, 0.5), n=171)
 @example(r=30.0, start_step=(50.0, 0.5), n=71)
+# the default r = 10 scan grid, whose top 209 points take a second, span-laid pass
+@example(r=10.0, start_step=(0.0, 0.05), n=2001)
 def test_progression_grid_within_abs_tol(r, start_step, n):
     s0, step = start_step
     # at most 100 in s past s0, the span of the default scan grid for

@@ -100,6 +100,56 @@ class TestPanelRule:
             np.testing.assert_array_equal(err[k], single_err)
 
 
+def _pass_values(todo, panels=202, step=0.05):
+    """One _progression_pass over todo for cos(s_k 10 (1 - t^2)) exp(-t), s_k = k step."""
+    values = {}
+    for items, value, _, _ in quadrature._progression_pass(
+            0.0, step, lambda t: 10.0 * ((1.0 - t) * (1.0 + t)), lambda t: np.exp(-t), np.asarray(todo), panels):
+        values.update(zip(items.tolist(), value))
+    return values
+
+
+class TestCosineProgression:
+    @pytest.mark.parametrize("start,step", [(0.0, 0.05), (1000.0, 0.5), (37.25, 1 / 1024)])
+    def test_tables_match_expj_at_the_float_arguments(self, start, step):
+        mpmath = pytest.importorskip("mpmath")
+        # one panel of [0, 1] under the r = 10 phase: 0.17 <= phase <= 9.99
+        nodes, _ = quadrature._panel_nodes(np.array([0.0]), np.array([1.0]))
+        phase = 10.0 * ((1.0 - nodes) * (1.0 + nodes))
+        counts = (1, 2, 3, 45, 46, 2001)
+        # exp(i (start + j step) phase) to 40 digits, as exp(i start phase) exp(i step phase)^j
+        exact = np.empty((max(counts), phase.size), dtype=complex)
+        with mpmath.workdps(40):
+            for node, x in enumerate(phase.ravel()):
+                value, ratio = mpmath.expj(mpmath.mpf(start) * x), mpmath.expj(mpmath.mpf(step) * x)
+                for j in range(max(counts)):
+                    exact[j, node] = complex(value)
+                    value *= ratio
+        args = np.abs((start + np.arange(max(counts))[:, None] * step) * phase)
+        bound = 4.0 * np.finfo(float).eps * (1.0 + args)
+        for count in counts:
+            table = quadrature._exp_progression(start, step, np.arange(count), phase)
+            assert table.shape == (1, count, 15)
+            assert np.all(np.abs(table[0] - exact[:count]) <= bound[:count])
+
+    @pytest.mark.parametrize("items", [[0, 1, 700, 1999], [5, 700, 701, 2000]])
+    def test_pass_builds_only_the_rows_of_its_items(self, monkeypatch, items):
+        whole = _pass_values(np.arange(2001))
+        built = []
+        tables = quadrature._exp_progression
+        monkeypatch.setattr(quadrature, "_exp_progression", lambda start, step, index, phase: (
+            built.append((step, index.copy())) or tables(start, step, index, phase)))
+        scattered = _pass_values(items)
+        assert sorted(scattered) == items
+        for k in items:
+            assert abs(scattered[k] - whole[k]) <= 1e-15
+        # the pass lays k = items[0] + a B + b with B = ceil(sqrt(span)); the
+        # row tables step by B grid steps, the column tables by one
+        width = math.isqrt(items[-1] - items[0]) + 1
+        rows = {int(a) for stride, index in built if stride != 0.05 for a in index}
+        assert rows == {(k - items[0]) // width for k in items}
+
+
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()

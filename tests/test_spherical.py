@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,19 @@ class TestPrincipalGrid:
         whole = principal_grid(s, 7.0)
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 100)
         np.testing.assert_allclose(principal_grid(s, 7.0), whole, rtol=0.0, atol=1e-14)
+
+    def test_progression_memory_is_bounded_by_blocks(self):
+        # the default r = 10 scan grid, first pass and refinement; its tables
+        # and products hold at most _BLOCK_ELEMENTS values at a time
+        s = np.arange(2001) * 0.05
+        principal_grid(s, 10.0)
+        tracemalloc.start()
+        try:
+            principal_grid(s, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_rejects_negative_grid(self):
         with pytest.raises(DomainError):
