@@ -116,7 +116,8 @@ class MoebiusMap:
         entries = (self.a, self.b, self.c, self.d)
         unit = [float(v) for v in _unit_det(*entries)]
         if math.isnan(unit[0]):
-            det = self.a * self.d - self.b * self.c
+            with np.errstate(all="ignore"):
+                det = self.a * self.d - self.b * self.c
             raise DomainError(f"matrix needs finite entries and a positive determinant, got {entries}, det {det}")
         for name, v in zip("abcd", unit):
             object.__setattr__(self, name, v)
@@ -133,7 +134,9 @@ class MoebiusMap:
     @classmethod
     def push(cls, r: float) -> "MoebiusMap":
         """Diagonal map sending the origin i to exp(r)*i along the axis."""
-        return cls(*_push(r))
+        with np.errstate(all="ignore"):
+            entries = _push(r)
+        return cls(*entries)
 
     @classmethod
     def origin_to(cls, p: Point) -> "MoebiusMap":

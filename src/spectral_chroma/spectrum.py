@@ -4,8 +4,9 @@ Scans the principal series for its minimum (the quantity that drives the
 independence-ratio bound), reports the certified analytic floor, and checks
 the eigenfunction identity directly by discrete circle averaging, with
 the circle evaluated as arrays through the Möbius route of geometry.  Grid
-evaluations are independent of each other; summaries are assembled by a
-single reducer with no shared mutable state.
+and refinement sub-grid evaluations are batch calls independent of each
+other; summaries are assembled by a single reducer with no shared mutable
+state.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .geometry import ORIGIN, Point, circle_coords, coord_distance
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .spherical import (
     MAX_EVAL_RADIUS,
+    PRINCIPAL,
     SpectralParameter,
     _eigenvalue_batch,
-    eigenvalue,
     envelope,
     principal_grid,
 )
@@ -31,8 +32,11 @@ from .spherical import (
 # below this, scanned values are indistinguishable from quadrature noise
 _DEGENERATE_FLOOR = 1e-12
 
-#: golden-section refinement width in s
+#: width in s of the bracket the scan minimum is refined to
 REFINE_XTOL = 1e-9
+
+# points per refinement sub-grid; each level narrows the bracket 16-fold
+_REFINE_POINTS = 33
 
 # default scan grid step in s
 _GRID_STEP = 0.05
@@ -84,23 +88,6 @@ def default_s_max(r: float) -> float:
     return max(100.0, 40.0 / r)
 
 
-def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def scan_principal(
     r: float,
     s_max: float | None = None,
@@ -109,10 +96,12 @@ def scan_principal(
 ) -> SpectrumSummary:
     """Scan the principal series on [0, s_max] and refine the minimum.
 
-    The grid minimum is refined by golden-section search inside its
-    bracketing cell to REFINE_XTOL in s.  When the envelope is already
-    below the quadrature noise scale the scan is skipped and the summary
-    is flagged degenerate with m_numeric = 0.
+    The grid minimum is refined inside its bracketing cell by batched
+    sub-grids, each laid over the neighbours of the lowest point so far,
+    for a level count fixed in advance that takes the bracket to
+    REFINE_XTOL in s.  When the envelope is already below the quadrature
+    noise scale the scan is skipped and the summary is flagged degenerate
+    with m_numeric = 0.
     """
     return _scan(r, s_max, grid_step, quad)[0]
 
@@ -148,15 +137,22 @@ def _scan(r: float, s_max: float | None, grid_step: float,
     grid = _scan_grid(s_max, grid_step)
     values = principal_grid(grid, r, quad)
     i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    f = lambda s: eigenvalue(SpectralParameter.principal(s), r, quad)
-    argmin_s, m_refined = _golden_min(f, float(lo), float(hi), REFINE_XTOL)
-    if values[i] < m_refined:
-        argmin_s, m_refined = float(grid[i]), float(values[i])
+    argmin_s, m_numeric = float(grid[i]), float(values[i])
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    # fixed before the loop, so it ends however coarse the doubles near lo are
+    width = hi - lo
+    levels = math.ceil(math.log(width / REFINE_XTOL, (_REFINE_POINTS - 1) / 2)) if width > REFINE_XTOL else 0
+    for _ in range(levels):
+        step = (hi - lo) / (_REFINE_POINTS - 1)
+        sub = lo + np.arange(_REFINE_POINTS) * step
+        sub_values = _eigenvalue_batch(PRINCIPAL, sub, r, quad)
+        j = int(np.argmin(sub_values))
+        if sub_values[j] < m_numeric:
+            argmin_s, m_numeric = float(sub[j]), float(sub_values[j])
+        lo, hi = max(lo, argmin_s - step), min(hi, argmin_s + step)
 
     return SpectrumSummary(
-        r=r, M=1.0, m_numeric=m_refined, m_analytic=m_analytic, argmin_s=argmin_s,
+        r=r, M=1.0, m_numeric=m_numeric, m_analytic=m_analytic, argmin_s=argmin_s,
         s_max_scanned=float(s_max), grid_step=float(grid_step), _quad=quad,
     ), grid, values
 

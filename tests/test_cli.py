@@ -51,7 +51,7 @@ def cli_env():
     return {k: v for k, v in os.environ.items() if k != "SPECTRAL_CHROMA_CONFIG"}
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = cli_env()
     if env_extra:
         env.update(env_extra)
@@ -60,6 +60,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -147,6 +148,16 @@ class TestScan:
 
     def test_rejects_nonpositive_radius(self):
         assert run_cli("scan", "--r", "0")[0] == 2
+
+    def test_refinement_ends_where_doubles_are_coarser_than_its_width(self):
+        # past s = 2**23 the doubles are 1.86e-9 apart, wider than
+        # REFINE_XTOL; as r -> 0 the eigenvalue at s tends to J0(r*s), so
+        # the minimum is J0's, at r*s = the first zero of J1
+        code, out, _ = run_cli("scan", "--r", "4e-7", "--s-max", "1.2e7", "--step", "1e6", timeout=120)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert abs(results["m_numeric"]["value"] - (-0.4027593957025531)) <= 1e-10
+        assert abs(results["argmin_s"]["value"] * 4e-7 - 3.8317059702075123) <= 1e-7
 
 
 class TestBounds:
@@ -428,7 +439,8 @@ class TestInProcess:
         code, out, _ = run_main(capsys, "scan", "--r", "4", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 2001
-        assert sizes and set(sizes) == {1}
+        # only the refinement sub-grids, one batch per level, use nodes
+        assert sizes and set(sizes) == {33} and len(sizes) <= 7
 
     def test_initial_panel_budget_exits_3(self, capsys):
         code, out, err = run_main(capsys, "eval", "--r", "2", "--s", "1e300")

@@ -19,6 +19,9 @@ REALS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
 # mostly valid points; a signed y exercises the Point check as well
 POINTS = st.builds(lambda x, y: (x, y), REALS, st.one_of(MAGNITUDES, REALS))
 
+# a refused input raises DomainError without a RuntimeWarning on the way
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FUZZ = settings(deadline=None, max_examples=300)
 
 

@@ -9,7 +9,14 @@ mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from spectral_chroma import DEFAULT_QUADRATURE, QuadratureSpec, SpectralParameter, eigenvalue, principal_grid
+from spectral_chroma import (
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    SpectralParameter,
+    eigenvalue,
+    principal_grid,
+    scan_principal,
+)
 import spectral_chroma.spherical as spherical
 from spectral_chroma.spherical import MAX_EVAL_RADIUS, PRINCIPAL, _eigenvalue_batch
 
@@ -86,6 +93,16 @@ def test_progression_grid_within_abs_tol(r, start_step, n):
         with mock.patch.object(spherical, "_cosine_progression") as matrix:
             np.testing.assert_array_equal(principal_grid(off, r), node_path(off, r))
         assert matrix.call_count == 0
+
+
+@pytest.mark.parametrize("r", [0.1, 2.0, 10.0, 30.0])
+def test_scan_refinement_stops_at_a_local_minimum(r):
+    summary = scan_principal(r)
+    tol = DEFAULT_QUADRATURE.abs_tol
+    assert abs(summary.m_numeric - legendre(SpectralParameter.principal(summary.argmin_s), r)) <= tol
+    for delta in (1e-3, 2e-2):
+        for s in (max(summary.argmin_s - delta, 0.0), summary.argmin_s + delta):
+            assert legendre(SpectralParameter.principal(s), r) >= summary.m_numeric - tol
 
 
 @pytest.mark.xfail(strict=True, reason="the (200 raw)^1.5 estimate lacks QUADPACK's resasc scale")

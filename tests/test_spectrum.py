@@ -69,8 +69,8 @@ class TestScanPrincipal:
         sizes = node_batch_sizes(monkeypatch)
         summary = scan_principal(4.0)
         assert summary.s_max_scanned == 100.0
-        # only golden-section refinement, one value per call, uses nodes
-        assert sizes and set(sizes) == {1}
+        # only the refinement sub-grids, one batch per level, use nodes
+        assert sizes and set(sizes) == {33} and len(sizes) <= 7
 
     def test_default_window(self):
         summary = scan_principal(0.5, s_max=None, grid_step=2.0)
@@ -150,7 +150,7 @@ class TestVerifyEigenfunction:
         batches = []
         batch = spectrum._eigenvalue_batch
         monkeypatch.setattr(spectrum, "_eigenvalue_batch", lambda *a: batches.append(a) or batch(*a))
-        monkeypatch.setattr(spectrum, "eigenvalue", None)
+        monkeypatch.setattr(spectrum, "eigenvalue", None, raising=False)
         res = verify_eigenfunction(SpectralParameter.principal(2.0), 1.5, Point(0.7, 2.0), 256)
         assert res < 1e-6
         assert len(batches) == 1
