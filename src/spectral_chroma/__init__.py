@@ -43,7 +43,6 @@ from .spherical import (
     SpectralParameter,
     eigenvalue,
     eigenvalue_ode,
-    eigenvalue_scaled_form,
     envelope,
     log_envelope,
     principal_grid,
@@ -75,7 +74,6 @@ __all__ = [
     "distance",
     "eigenvalue",
     "eigenvalue_ode",
-    "eigenvalue_scaled_form",
     "envelope",
     "full_range_floor",
     "hoffman_finite",

@@ -2,7 +2,7 @@
 
 The rotation-invariant eigenfunctions attach to each spectral parameter an
 eigenvalue equal to the conical Legendre value P_{-1/2+is}(cosh r).  This
-module evaluates it three independent ways:
+module evaluates it two independent ways:
 
 * ``eigenvalue``           -- singular integral representation
                               sqrt(2)/pi * int_0^r k(x)/sqrt(cosh r - cosh x) dx
@@ -12,12 +12,10 @@ module evaluates it three independent ways:
                               u = sqrt(r) t and integrated over t in [0, 1]
                               by the batched Gauss-Kronrod ``integrate``;
 * ``eigenvalue_ode``       -- the radial differential equation
-                              u'' + coth(t) u' + lam u = 0, u(0) = 1, u'(0) = 0;
-* ``eigenvalue_scaled_form`` -- the rescaled integral over [0, 1], left in
-                              singular form and handed to extrapolating QAGS.
+                              u'' + coth(t) u' + lam u = 0, u(0) = 1, u'(0) = 0.
 
-The two oracle routes need scipy (the ``oracle`` extra), which is imported
-only when one of them runs, so the package itself loads on NumPy alone.
+The ODE oracle needs scipy (the ``oracle`` extra), which is imported only
+when it runs, so the package itself loads on NumPy alone.
 It also provides the uniform envelope (r+1) exp(-r/2) that bounds every
 principal-series eigenvalue.  Evaluation is stateless; grid sweeps are safe
 to run unsynchronized in parallel.
@@ -200,16 +198,6 @@ def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
     return _eigenvalue_batch(PRINCIPAL, s, r, quad)
 
 
-def _scipy_integrate():
-    """scipy.integrate, imported on first use by the oracle routes."""
-    try:
-        import scipy.integrate
-    except ImportError as exc:
-        raise ImportError(
-            "the ODE and QAGS oracle routes need scipy: pip install 'spectral-chroma[oracle]'") from exc
-    return scipy.integrate
-
-
 def _series_seed(lam, t):
     # even Taylor series of the regular solution about t = 0, elementwise
     a1 = -lam / 4.0
@@ -271,36 +259,13 @@ def _eigenvalue_ode_batch(params, radii) -> np.ndarray:
         u, du = y[:r.size], y[r.size:]
         return np.concatenate((r * du, -r * (du / np.tanh(r * tau) + lam * u)))
 
-    solve_ivp = _scipy_integrate().solve_ivp
+    try:
+        from scipy.integrate import solve_ivp
+    except ImportError as exc:
+        raise ImportError("the ODE oracle needs scipy: pip install 'spectral-chroma[oracle]'") from exc
     sol = solve_ivp(rhs, (tau0, 1.0), np.concatenate(_series_seed(lam, r * tau0)),
                     method="DOP853", rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
     out[live] = sol.y[:r.size, -1]
     return out
-
-
-def eigenvalue_scaled_form(param: SpectralParameter, r: float) -> float:
-    """Cross-check route: the rescaled representation on [0, 1].
-
-    Evaluates sqrt(2)/pi * r * int_0^1 k(r x)/sqrt(cosh r - cosh(r x)) dx
-    without desingularizing, relying on QAGS endpoint extrapolation.
-    Intended for moderate oscillation (s * r up to a few tens).
-    """
-    _check_radius(r)
-    if r == 0.0:
-        return 1.0
-    if param.kind == PRINCIPAL:
-        s = param.value
-        kernel = lambda x: math.cos(s * x)
-    else:
-        sigma = param.value
-        kernel = lambda x: math.cosh(sigma * x)
-
-    def integrand(x):
-        rx = r * x
-        gap = 2.0 * math.sinh(0.5 * (r + rx)) * math.sinh(0.5 * (r - rx))
-        return kernel(rx) / math.sqrt(gap)
-
-    value, _ = _scipy_integrate().quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
-    return _SQRT2_OVER_PI * r * value

@@ -1,4 +1,4 @@
-"""The CLI runs on NumPy alone: scipy is imported only by the oracle routes.
+"""The CLI runs on NumPy alone: scipy is imported only by the ODE oracle.
 
 Each test runs in a fresh interpreter, so modules imported by other tests
 cannot hide an import on the CLI's path.
@@ -53,12 +53,11 @@ def test_cli_runs_without_scipy_and_oracles_name_the_extra(tmp_path):
     graph = tmp_path / "petersen.txt"
     graph.write_text(PETERSEN_EDGES, encoding="utf-8")
     run_python(RUN_SUBCOMMANDS.format(graph=str(graph), prelude='sys.modules["scipy"] = None', checks="""
-from spectral_chroma import SpectralParameter, eigenvalue_ode, eigenvalue_scaled_form
-for oracle in (eigenvalue_ode, eigenvalue_scaled_form):
-    try:
-        oracle(SpectralParameter.principal(1.0), 2.0)
-    except ImportError as exc:
-        assert "oracle" in str(exc), exc
-    else:
-        raise AssertionError(f"{oracle.__name__} ran without scipy")
+from spectral_chroma import *
+try:
+    eigenvalue_ode(SpectralParameter.principal(1.0), 2.0)
+except ImportError as exc:
+    assert "oracle" in str(exc), exc
+else:
+    raise AssertionError("eigenvalue_ode ran without scipy")
 """))
