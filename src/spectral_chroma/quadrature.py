@@ -94,9 +94,11 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 _EPS = float(np.finfo(float).eps)
 
-# values held at once by one block of work: integrand values (items x
-# panels x 15 nodes), or trigonometric tables and their products
+# values held at once by one block of work: trigonometric tables and their
+# products on the matrix path, and integrand values (items x panels x 15
+# nodes) on the node path, whose 64 KiB temporaries stay in cache
 _BLOCK_ELEMENTS = 65_536
+_NODE_BLOCK_ELEMENTS = 8_192
 
 
 def _panel_nodes(lefts: np.ndarray, rights: np.ndarray):
@@ -272,13 +274,13 @@ def integrate(
 
     f(items, t) maps an index array of items and the (panels, 15) nodes to
     values of shape (len(items), panels, 15), evaluated by panel_rule in
-    blocks of _BLOCK_ELEMENTS integrand values.  Panels, refinement, the
+    blocks of _NODE_BLOCK_ELEMENTS integrand values.  Panels, refinement, the
     budget and the result (values, error_estimates, panels of the finest
     pass) are _refine's; ToleranceNotReached when the budget is exhausted.
     """
     def node_pass(todo: np.ndarray, panels: int):
         edges = np.linspace(0.0, 1.0, panels + 1)
-        per_block = max(1, _BLOCK_ELEMENTS // (15 * panels))
+        per_block = max(1, _NODE_BLOCK_ELEMENTS // (15 * panels))
         for start in range(0, todo.size, per_block):
             items = todo[start:start + per_block]
             kron, err = panel_rule(lambda t: f(items, t), edges[:-1], edges[1:])

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, StepSizeUnderflow
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, initial_panels, integrate
 
-_SQRT2_OVER_PI = math.sqrt(2.0) / math.pi
+_TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
 # widest initial panel in u = sqrt(r) t, in units of 1 / max(value, 1)
 _PANEL_PHASE = 0.5 * math.pi
 
@@ -99,25 +99,31 @@ def log_envelope(r: float) -> float:
     return math.log1p(r) - 0.5 * r
 
 
-def _sinhc(w: np.ndarray) -> np.ndarray:
-    """sinh(w)/w, smooth through w = 0."""
-    small = w < 1e-4
-    safe = np.where(small, 1.0, w)
-    return np.where(small, 1.0 + w * w / 6.0, np.sinh(safe) / safe)
-
-
 def _smooth_weight(t: np.ndarray, r) -> np.ndarray:
-    """Weight of the desingularized integrand on t in [0, 1].
+    """Weight of the desingularized integrand on t in [0, 1], sqrt(2)/pi included.
 
-    After x = r - u^2 and u = sqrt(r) t, dx/sqrt(cosh r - cosh x) becomes
-    w(t) dt with w(t) = 2 / sqrt((1 - h) sinhc(r (1 - h)) sinhc(r h)) and
-    h = t^2/2, using cosh r - cosh x = 2 sinh((r+x)/2) sinh((r-x)/2) to
-    dodge cancellation.  No factor sqrt(r) is formed, so even subnormal
-    radii keep full precision.
+    After x = r - u^2 and u = sqrt(r) t, sqrt(2)/pi dx/sqrt(cosh r - cosh x)
+    becomes w(t) dt with w(t) = 2 sqrt(2)/pi / sqrt((1 - h) sinhc(r (1 - h))
+    sinhc(r h)), sinhc(x) = sinh(x)/x and h = t^2/2, using cosh r - cosh x
+    = 2 sinh((r+x)/2) sinh((r-x)/2) to dodge cancellation.  No factor
+    sqrt(r) is formed, so even subnormal radii keep full precision: r h is
+    raised to the smallest subnormal where it underflows to 0, and sinhc
+    reads exactly 1 there.  The chain works in place on arrays of the
+    broadcast shape of t and r, and leaves t as it is.
     """
     h = 0.5 * t * t
-    a = r * (1.0 - h)
-    return 2.0 / np.sqrt((1.0 - h) * (np.sinh(a) / a) * _sinhc(r * h))
+    g = 1.0 - h
+    x = r * g
+    w = np.sinh(x)
+    w /= x
+    w *= g
+    np.multiply(r, h, out=x)
+    np.maximum(x, 5e-324, out=x)
+    sinhc = np.sinh(x)
+    sinhc /= x
+    w *= sinhc
+    np.sqrt(w, out=w)
+    return np.divide(_TWO_SQRT2_OVER_PI, w, out=w)
 
 
 def _check_radius(r: float):
@@ -166,15 +172,17 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
         if np.array_equal(v, v[0] + np.arange(v.size) * step):
             out[live] = _cosine_progression(
                 v[0], step, v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
-                lambda t: _SQRT2_OVER_PI * _smooth_weight(t, r),
+                lambda t: _smooth_weight(t, r),
                 n_panels, quad.abs_tol, quad.max_subdivisions)[0]
             return out
     kernel = np.cos if kind == PRINCIPAL else np.cosh
 
     def integrand(items, t):
         rb = r if r.ndim == 0 else r[items, None, None]
-        return kernel(v[items, None, None] * rb * ((1.0 - t) * (1.0 + t))) * (
-            _SQRT2_OVER_PI * _smooth_weight(t, rb))
+        fv = v[items, None, None] * rb * ((1.0 - t) * (1.0 + t))
+        kernel(fv, out=fv)
+        fv *= _smooth_weight(t, rb)
+        return fv
 
     out[live] = integrate(integrand, v.size, n_panels, quad.abs_tol, quad.max_subdivisions)[0]
     return out

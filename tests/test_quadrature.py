@@ -75,7 +75,7 @@ class TestIntegrate:
         assert values[0] == alone[0]
 
     def test_blocks_split_items(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 2 * 15 * 4)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK_ELEMENTS", 2 * 15 * 4)
         blocks = []
         freqs = np.linspace(0.0, 5.0, 7)
 

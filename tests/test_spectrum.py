@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestVerifyEigenfunction:
         assert len(circles) == 1
         assert np.size(circles[0][2]) == 2048
         assert points == []
+
+    def test_memory_is_bounded_by_node_blocks(self):
+        # the heaviest verify-circle case: 2050 radii on 30 panels, whose
+        # integrand values are built in blocks of _NODE_BLOCK_ELEMENTS
+        p, base = SpectralParameter.principal(20.0), Point(-0.3, 0.8)
+        verify_eigenfunction(p, 5.0, base, 2048)
+        tracemalloc.start()
+        try:
+            verify_eigenfunction(p, 5.0, base, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_n_over_cap(self):
         with pytest.raises(DomainError, match="n_points"):

@@ -18,7 +18,13 @@ from spectral_chroma import (
     principal_grid,
 )
 from spectral_chroma import quadrature
-from spectral_chroma.spherical import COMPLEMENTARY, PRINCIPAL, _eigenvalue_batch, _eigenvalue_ode_batch
+from spectral_chroma.spherical import (
+    COMPLEMENTARY,
+    PRINCIPAL,
+    _eigenvalue_batch,
+    _eigenvalue_ode_batch,
+    _smooth_weight,
+)
 
 # Frozen references, computed with 40-digit arithmetic from two independent
 # high-precision routes (hypergeometric evaluation of the conical Legendre
@@ -225,6 +231,30 @@ class TestPrincipalGrid:
     def test_panel_count_counts_against_budget(self):
         with pytest.raises(ToleranceNotReached, match="initial panels"):
             principal_grid([0.0, 1e300], 2.0)
+
+
+class TestSmoothWeight:
+    @pytest.mark.parametrize("panels", [1, 30, 4096])
+    def test_matches_mpmath(self, panels):
+        mpmath = pytest.importorskip("mpmath")
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        nodes, _ = quadrature._panel_nodes(edges[:-1], edges[1:])
+        # every panel of 1 and 30, and of 4096 the eight at each end and every 128th
+        nodes = nodes[np.unique(np.r_[0:8, 0:panels:max(1, panels // 32), -8:0] % panels)]
+        before = nodes.copy()
+        eps = np.finfo(float).eps
+        for r in (5e-324, 1e-310, 1e-8, 0.5, 10.0, 359.86, 700.0):
+            got = _smooth_weight(nodes, r)
+            np.testing.assert_array_equal(nodes, before)
+            with mpmath.workdps(50):
+                rr = mpmath.mpf(r)
+                for t, w in zip(nodes.ravel().tolist(), got.ravel().tolist()):
+                    h = mpmath.mpf(t) ** 2 / 2
+                    a, b = rr * (1 - h), rr * h
+                    exact = 2 * mpmath.sqrt(2) / mpmath.pi / mpmath.sqrt(
+                        (1 - h) * mpmath.sinh(a) / a * mpmath.sinh(b) / b)
+                    # the r-proportional part is the rounding of a = r (1 - h)
+                    assert abs(w - exact) <= (4.0 + r / 2.0) * eps * exact, (t, r)
 
 
 class TestEnvelope:
