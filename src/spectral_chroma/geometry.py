@@ -163,24 +163,22 @@ def coord_distance(x1, y1, x2, y2):
 
     acosh(1 + rho / (2 y y')) with rho the squared Euclidean distance,
     evaluated in the equivalent half-angle form 2 asinh(q) with
-    q = sqrt(rho) / (2 sqrt(y) sqrt(y')), so nearby points keep their full
-    separation instead of vanishing into the 1 + eps plateau of acosh.
-    The denominator is formed from the two square roots, so the heights'
-    product is never formed and cannot underflow.  Symmetric at the bit
+    q = hypot(dx, dy) / (2 sqrt(y) sqrt(y')), so nearby points keep their
+    full separation instead of vanishing into the 1 + eps plateau of acosh.
+    Neither the squared separation nor the heights' product is formed, so
+    neither can underflow or overflow on its own.  Symmetric at the bit
     level: every floating-point operation commutes under swapping the two
-    points.  Separations whose square leaves double range come out as inf.
+    points.  Separations or ratios that leave double range come out as inf.
     """
     with np.errstate(over="ignore"):
-        dx = x2 - x1
-        dy = y2 - y1
-        rho = dx * dx + dy * dy
-        return 2.0 * np.arcsinh(0.5 * (np.sqrt(rho) / (np.sqrt(y1) * np.sqrt(y2))))
+        separation = np.hypot(x2 - x1, y2 - y1)
+        return 2.0 * np.arcsinh(0.5 * (separation / (np.sqrt(y1) * np.sqrt(y2))))
 
 
 def distance(p: Point, q: Point) -> float:
     """Hyperbolic distance between two points (see coord_distance).
 
-    Points whose squared separation leaves double range raise DomainError.
+    Points whose separation leaves double range raise DomainError.
     """
     d = float(coord_distance(p.x, p.y, q.x, q.y))
     if math.isinf(d):

@@ -4,10 +4,12 @@ The 7/15 pair gives an error estimate at no extra cost: the 7-point Gauss
 nodes are embedded in the 15-point Kronrod rule, so one batch of function
 values yields both the panel integrals and the difference that decides
 which items ``_refine``, the one panel-doubling loop here, evaluates again
-on twice as many panels.  A pass evaluates its items either from integrand
-values at the nodes (``integrate``) or, for cosines whose frequencies form
-an arithmetic progression, as matrix products of shared trigonometric
-tables (``_cosine_progression``).
+on twice as many panels.  Every pass lays its panels by ``_panel_edges``,
+narrowing towards t = 1, where the integrands oscillate fastest.  A pass
+evaluates its items either from integrand values at the nodes
+(``integrate``) or, for cosines whose frequencies form an arithmetic
+progression, as matrix products of shared trigonometric tables
+(``_cosine_progression``).
 """
 
 from __future__ import annotations
@@ -101,6 +103,25 @@ _BLOCK_ELEMENTS = 65_536
 _NODE_BLOCK_ELEMENTS = 8_192
 
 
+# du/dt at t = 0 of the edge map u = A t + (1 - A) t^2, see _panel_edges
+_EDGE_GRADE = 0.25
+
+
+def _panel_edges(panels: int) -> np.ndarray:
+    """The panels + 1 edges of every pass's panels of [0, 1], graded towards t = 1.
+
+    Edge m is the root t in [0, 1] of A t + (1 - A) t^2 = m / panels with
+    A = _EDGE_GRADE, so panels narrow from 1/(A panels) at t = 0 to
+    1/((2 - A) panels) at t = 1.  The integrands here oscillate with phase
+    rate proportional to t (cos(s r (1 - t^2)) has rate 2 s r t), so the
+    panels are narrowest where the oscillation is fastest; A = 1 would be
+    uniform and A = 0 equal phase per panel.  With A = 1/4 the map is exact
+    at both ends, so one panel is exactly [0, 1].
+    """
+    u = np.arange(panels + 1) / panels
+    return 2.0 * u / (_EDGE_GRADE + np.sqrt(_EDGE_GRADE * _EDGE_GRADE + 4.0 * (1.0 - _EDGE_GRADE) * u))
+
+
 def _panel_nodes(lefts: np.ndarray, rights: np.ndarray):
     """The (panels, 15) Kronrod nodes of a batch of panels, and their half-widths."""
     mids = 0.5 * (lefts + rights)
@@ -175,7 +196,7 @@ _SIGNED_RULES = np.stack((_WEIGHTS_KRONROD, _WEIGHTS_GAUSS))[:, :, None] * np.ar
 
 def _progression_pass(s0: float, step: float, phase: Callable[[np.ndarray], np.ndarray],
                       weight: Callable[[np.ndarray], np.ndarray], todo: np.ndarray, panels: int):
-    """One pass of _cosine_progression over the sorted items todo, on panels uniform panels.
+    """One pass of _cosine_progression over the sorted items todo, on `panels` graded panels.
 
     The pass lays its own progression over the span of todo: item
     k = todo[0] + a B + b with B = ceil(sqrt(span)), so s_k = s' + a B step
@@ -183,7 +204,7 @@ def _progression_pass(s0: float, step: float, phase: Callable[[np.ndarray], np.n
     of todo are evaluated, each against all B columns b.  Yields, per chunk
     of rows, (items, value, error, sum |K15|) as _refine expects.
     """
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = _panel_edges(panels)
     nodes, halves = _panel_nodes(edges[:-1], edges[1:])
     first = todo[0]
     start = s0 + first * step
@@ -249,7 +270,10 @@ def _cosine_progression(s0: float, step: float, n_items: int,
 
 
 def initial_panels(width: float, max_panel_width: float, max_subdivisions: int) -> int:
-    """Uniform panel count ceil(width / max_panel_width), at least 1.
+    """First-pass panel count ceil(width / max_panel_width), at least 1.
+
+    The count is of panels laid by _panel_edges, so max_panel_width is an
+    average width in the caller's units, not a cap on every panel.
 
     The count is checked against the subdivision budget before anything is
     allocated, so a panel cap far below the interval raises
@@ -273,13 +297,14 @@ def integrate(
     """Integrate a batch of n_items integrands over t in [0, 1].
 
     f(items, t) maps an index array of items and the (panels, 15) nodes to
-    values of shape (len(items), panels, 15), evaluated by panel_rule in
-    blocks of _NODE_BLOCK_ELEMENTS integrand values.  Panels, refinement, the
-    budget and the result (values, error_estimates, panels of the finest
-    pass) are _refine's; ToleranceNotReached when the budget is exhausted.
+    values of shape (len(items), panels, 15), evaluated by panel_rule on
+    the graded panels of _panel_edges, in blocks of _NODE_BLOCK_ELEMENTS
+    integrand values.  Panels, refinement, the budget and the result
+    (values, error_estimates, panels of the finest pass) are _refine's;
+    ToleranceNotReached when the budget is exhausted.
     """
     def node_pass(todo: np.ndarray, panels: int):
-        edges = np.linspace(0.0, 1.0, panels + 1)
+        edges = _panel_edges(panels)
         per_block = max(1, _NODE_BLOCK_ELEMENTS // (15 * panels))
         for start in range(0, todo.size, per_block):
             items = todo[start:start + per_block]
@@ -294,10 +319,10 @@ def _refine(evaluate, n_items: int, n_panels: int, abs_tol: float,
     """The panel-doubling loop shared by every integrand.
 
     evaluate(todo, panels) yields, block by block, (items, value, error,
-    sum |K15|) per item of todo on the given number of uniform panels of
-    [0, 1].  All items start on n_panels panels; an item whose summed
-    estimate misses abs_tol is evaluated again on twice as many, until
-    every item fits.  Refinement may add at most max_subdivisions panels
+    sum |K15|) per item of todo on the given number of panels of [0, 1],
+    laid by _panel_edges.  All items start on n_panels panels; an item
+    whose summed estimate misses abs_tol is evaluated again on twice as
+    many, until every item fits.  Refinement may add at most max_subdivisions panels
     beyond n_panels, and an item whose round-off floor 50*eps*sum|K15|
     already exceeds abs_tol fails at once.
 

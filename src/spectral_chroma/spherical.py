@@ -32,8 +32,8 @@ from .errors import DomainError, StepSizeUnderflow
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, initial_panels, integrate
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
-# widest initial panel in u = sqrt(r) t, in units of 1 / max(value, 1)
-_PANEL_PHASE = 0.5 * math.pi
+# sqrt(r) max(value, 1.5) per initial panel, see _eigenvalue_batch
+_PANEL_PHASE = 0.75 * math.pi
 
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
@@ -148,13 +148,15 @@ def eigenvalue(param: SpectralParameter, r: float, quad: QuadratureSpec = DEFAUL
 def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec) -> np.ndarray:
     """Eigenvalues of one kind for canonical parameters at one or per-item radii.
 
-    All items start on uniform panels in t = u / sqrt(r), none wider in u
-    than _PANEL_PHASE / max(value, 1) for any item, so each sees a bounded
-    stretch of the oscillation; the panels of items that miss quad.abs_tol
-    are doubled.  Principal-series values at one radius that
+    All items start on the same ceil(max sqrt(r) max(value, 1.5) / _PANEL_PHASE)
+    panels in t = u / sqrt(r), graded towards t = 1, where cos(s r (1 - t^2))
+    oscillates fastest (quadrature._panel_edges), so each item sees a
+    bounded stretch of the oscillation; for values up to 1 that is one
+    panel per pi/2 of u on average.  The panels of items that miss
+    quad.abs_tol are doubled.  Principal-series values at one radius that
     form an arithmetic progression (every scan grid) are summed as matrix
-    products of shared exponential tables; every other batch, including a batch
-    of one, from integrand values at the nodes.  r = 0 gives the limit
+    products of shared exponential tables; every other batch, including a
+    batch of one, from integrand values at the nodes.  r = 0 gives the limit
     value 1.
     """
     radii = np.asarray(radii, dtype=float)
@@ -165,7 +167,7 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     if live.size == 0:
         return out
     v, r = values[live], (radii if radii.ndim == 0 else radii[live])
-    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.0))),
+    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.5))),
                               _PANEL_PHASE, quad.max_subdivisions)
     if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
         step = v[1] - v[0]

@@ -75,9 +75,23 @@ class TestDistance:
         assert distance(p, q) == pytest.approx(400.0 * math.log(10.0), rel=1e-15)
         assert distance(p, q) == distance(q, p)
 
-    def test_squared_separation_beyond_double_range_is_refused(self):
+    def test_tiny_separation_does_not_underflow(self):
+        # the squared separation 1e-400 would underflow to a distance of 0
+        p, q = Point(0.0, 1e-200), Point(1e-200, 1e-200)
+        assert distance(p, q) == pytest.approx(2.0 * math.asinh(0.5), rel=1e-15)
+
+    def test_huge_separation_matches_mpmath(self):
+        # the squared separation 1e400 would overflow
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            y = mpmath.mpf(1e200)
+            want = float(mpmath.acosh(1 + (y - 1) ** 2 / (2 * y)))
+        assert distance(ORIGIN, Point(0.0, 1e200)) == pytest.approx(want, rel=1e-15)
+        assert want == pytest.approx(460.517, abs=1e-3)
+
+    def test_separation_beyond_double_range_is_refused(self):
         with pytest.raises(DomainError, match="leaves double range"):
-            distance(ORIGIN, Point(0.0, 1e200))
+            distance(Point(-1e308, 1.0), Point(1e308, 1.0))
 
 
 class TestMoebiusMap:

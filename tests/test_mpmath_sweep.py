@@ -47,6 +47,14 @@ def legendre(param: SpectralParameter, r: float) -> float:
 
 @settings(deadline=None, max_examples=50)
 @given(param=PARAMETERS, r=st.floats(0.0, MAX_EVAL_RADIUS, exclude_min=True))
+# the ends the graded panels stress: the widest first panel against a weight
+# growing like exp(r t^2 / 4), the smallest radius, the most panels at a tiny
+# radius, a complementary integrand peaked at t = 0, and a coarse-panel trap
+@example(param=SpectralParameter.principal(0.5), r=700.0)
+@example(param=SpectralParameter.principal(3.0), r=5e-324)
+@example(param=SpectralParameter.principal(1e5), r=1e-3)
+@example(param=SpectralParameter.complementary(0.5), r=600.0)
+@example(param=SpectralParameter.principal(85.0), r=30.0)
 def test_eigenvalue_within_abs_tol_of_legendre(param, r):
     assert abs(eigenvalue(param, r) - legendre(param, r)) <= DEFAULT_QUADRATURE.abs_tol
 

@@ -88,6 +88,20 @@ class TestIntegrate:
         np.testing.assert_allclose(values, np.sinc(freqs / math.pi), rtol=0.0, atol=1e-10)
 
 
+class TestPanelEdges:
+    @pytest.mark.parametrize("panels", [1, 2, 7, 338, 4096])
+    def test_graded_towards_one(self, panels):
+        edges = quadrature._panel_edges(panels)
+        assert edges[0] == 0.0 and edges[-1] == 1.0
+        widths = np.diff(edges)
+        assert np.all(widths > 0.0)
+        assert np.all(np.diff(widths) <= 0.0)
+        # edge m solves A t + (1 - A) t^2 = m / panels
+        a = quadrature._EDGE_GRADE
+        np.testing.assert_allclose(a * edges + (1.0 - a) * edges ** 2, np.arange(panels + 1) / panels,
+                                   rtol=0.0, atol=4e-16)
+
+
 class TestPanelRule:
     def test_leading_batch_axes(self):
         edges = np.linspace(0.0, 2.0, 5)

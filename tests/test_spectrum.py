@@ -194,3 +194,60 @@ class TestVerifyEigenfunction:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(DomainError):
             verify_eigenfunction(SpectralParameter.principal(1.0), 0.0, ORIGIN, 16)
+
+
+def refine_passes(monkeypatch) -> list[tuple[int, int]]:
+    """(items, panels) of every quadrature pass, recorded from here on."""
+    passes = []
+    refine = quadrature._refine
+
+    def spy(evaluate, *args):
+        def recorded(todo, panels):
+            passes.append((todo.size, panels))
+            return evaluate(todo, panels)
+
+        return refine(recorded, *args)
+
+    monkeypatch.setattr(quadrature, "_refine", spy)
+    return passes
+
+
+class TestIntegrandWork:
+    """Integrand work, as items x panels summed over passes, held to upper bounds.
+
+    The counts are exact and do not depend on the machine's speed, so a
+    layout or panel-count regression fails here however noisy the timing.
+    The finest passes are bounded by their recorded figures and the totals
+    with about 0.5% room, since the items a second pass refines sit near
+    abs_tol and rounding may move a few of them.
+    """
+
+    SWEEP_RADII = [0.1, 0.5, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0]
+    SWEEP_FINEST = [54, 31, 61, 85, 113, 270, 330, 380, 233]
+    CIRCLE_SITES = [(1.5, Point(0.7, 2.0)), (5.0, Point(-0.3, 0.8))]
+    CIRCLE_PARAMS = [SpectralParameter.principal(0.5), SpectralParameter.principal(2.0),
+                     SpectralParameter.principal(20.0), SpectralParameter.complementary(0.3)]
+    CIRCLE_FINEST = [2, 2, 13, 2, 2, 4, 20, 2]
+
+    def test_default_scans(self, monkeypatch):
+        passes = refine_passes(monkeypatch)
+        finest, total = [], 0
+        for r in self.SWEEP_RADII:
+            passes.clear()
+            scan_principal(r)
+            finest.append(max(panels for _, panels in passes))
+            total += sum(items * panels for items, panels in passes)
+        assert all(f <= bound for f, bound in zip(finest, self.SWEEP_FINEST)), finest
+        assert total <= 2_560_000  # 2,550,005 with graded panels; 4,069,451 on uniform ones
+
+    def test_circle_verification(self, monkeypatch):
+        passes = refine_passes(monkeypatch)
+        finest, total = [], 0
+        for r, base in self.CIRCLE_SITES:
+            for param in self.CIRCLE_PARAMS:
+                passes.clear()
+                verify_eigenfunction(param, r, base, 2048)
+                finest.append(max(panels for _, panels in passes))
+                total += sum(items * panels for items, panels in passes)
+        assert all(f <= bound for f, bound in zip(finest, self.CIRCLE_FINEST)), finest
+        assert total <= 105_000  # 104,546 with graded panels; 142,100 on uniform ones
