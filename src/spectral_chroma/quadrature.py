@@ -1,13 +1,13 @@
 """Batched Gauss-Kronrod panel quadrature for smooth vectorized integrands.
 
-The 7/15 pair gives an error estimate at no extra cost: the 7-point Gauss
-nodes are embedded in the 15-point Kronrod rule, so one batch of function
-values yields both the panel integrals and the difference that decides
-which items ``_refine``, the one panel-doubling loop here, evaluates again
-on twice as many panels.  Every pass lays its panels by ``_panel_edges``,
-narrowing towards t = 1, where the integrands oscillate fastest.  A pass
-evaluates its items either from integrand values at the nodes
-(``integrate``) or, for cosines whose frequencies form an arithmetic
+The 15/31 pair gives an error estimate at no extra cost: the 15-point
+Gauss nodes are embedded in the 31-point Kronrod rule, so one batch of
+function values yields both the panel integrals and the difference that
+decides which items ``_refine``, the one panel-doubling loop here,
+evaluates again on twice as many panels.  Every pass lays its panels by
+``_panel_edges``, narrowing towards t = 1, where the integrands oscillate
+fastest.  A pass evaluates its items either from integrand values at the
+nodes (``integrate``) or, for cosines whose frequencies form an arithmetic
 progression, as matrix products of shared trigonometric tables
 (``_cosine_progression``).
 """
@@ -22,57 +22,106 @@ import numpy as np
 
 from .errors import DomainError, ToleranceNotReached
 
-# Gauss-Kronrod 7/15 on [-1, 1].  Gauss weights carry zeros at the
-# Kronrod-only nodes so both rules are plain dot products.
+# Gauss-Kronrod 15/31 on [-1, 1], QUADPACK's dqk31 (Piessens et al., 1983)
+# rounded to double.  Gauss weights carry zeros at the Kronrod-only nodes so
+# both rules are plain dot products.
 _NODES = np.array([
-    -0.9914553711208126,
-    -0.9491079123427585,
-    -0.8648644233597691,
-    -0.7415311855993944,
-    -0.5860872354676911,
-    -0.4058451513773972,
-    -0.2077849550078985,
+    -0.9980022986933971,
+    -0.9879925180204854,
+    -0.9677390756791391,
+    -0.937273392400706,
+    -0.8972645323440819,
+    -0.8482065834104272,
+    -0.790418501442466,
+    -0.7244177313601701,
+    -0.650996741297417,
+    -0.5709721726085388,
+    -0.4850818636402397,
+    -0.3941513470775634,
+    -0.29918000715316884,
+    -0.20119409399743451,
+    -0.1011420669187175,
     0.0,
-    0.2077849550078985,
-    0.4058451513773972,
-    0.5860872354676911,
-    0.7415311855993944,
-    0.8648644233597691,
-    0.9491079123427585,
-    0.9914553711208126,
+    0.1011420669187175,
+    0.20119409399743451,
+    0.29918000715316884,
+    0.3941513470775634,
+    0.4850818636402397,
+    0.5709721726085388,
+    0.650996741297417,
+    0.7244177313601701,
+    0.790418501442466,
+    0.8482065834104272,
+    0.8972645323440819,
+    0.937273392400706,
+    0.9677390756791391,
+    0.9879925180204854,
+    0.9980022986933971,
 ])
 _WEIGHTS_KRONROD = np.array([
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
-    0.2044329400752989,
-    0.1903505780647854,
-    0.1690047266392679,
-    0.1406532597155259,
-    0.1047900103222502,
-    0.0630920926299786,
-    0.0229353220105292,
+    0.005377479872923349,
+    0.015007947329316122,
+    0.02546084732671532,
+    0.03534636079137585,
+    0.04458975132476488,
+    0.05348152469092809,
+    0.06200956780067064,
+    0.06985412131872826,
+    0.07684968075772038,
+    0.08308050282313302,
+    0.08856444305621176,
+    0.09312659817082532,
+    0.09664272698362368,
+    0.09917359872179196,
+    0.10076984552387559,
+    0.10133000701479154,
+    0.10076984552387559,
+    0.09917359872179196,
+    0.09664272698362368,
+    0.09312659817082532,
+    0.08856444305621176,
+    0.08308050282313302,
+    0.07684968075772038,
+    0.06985412131872826,
+    0.06200956780067064,
+    0.05348152469092809,
+    0.04458975132476488,
+    0.03534636079137585,
+    0.02546084732671532,
+    0.015007947329316122,
+    0.005377479872923349,
 ])
 _WEIGHTS_GAUSS = np.array([
     0.0,
-    0.1294849661688697,
+    0.03075324199611727,
     0.0,
-    0.2797053914892767,
+    0.07036604748810812,
     0.0,
-    0.3818300505051189,
+    0.10715922046717194,
     0.0,
-    0.4179591836734694,
+    0.13957067792615432,
     0.0,
-    0.3818300505051189,
+    0.16626920581699392,
     0.0,
-    0.2797053914892767,
+    0.1861610000155622,
     0.0,
-    0.1294849661688697,
+    0.19843148532711158,
+    0.0,
+    0.2025782419255613,
+    0.0,
+    0.19843148532711158,
+    0.0,
+    0.1861610000155622,
+    0.0,
+    0.16626920581699392,
+    0.0,
+    0.13957067792615432,
+    0.0,
+    0.10715922046717194,
+    0.0,
+    0.07036604748810812,
+    0.0,
+    0.03075324199611727,
     0.0,
 ])
 
@@ -97,8 +146,8 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 _EPS = float(np.finfo(float).eps)
 
 # values held at once by one block of work: trigonometric tables and their
-# products on the matrix path, and integrand values (items x panels x 15
-# nodes) on the node path, whose 64 KiB temporaries stay in cache
+# products on the matrix path, and integrand values (items x panels x
+# _NODES.size nodes) on the node path, whose 64 KiB temporaries stay in cache
 _BLOCK_ELEMENTS = 65_536
 _NODE_BLOCK_ELEMENTS = 8_192
 
@@ -123,7 +172,7 @@ def _panel_edges(panels: int) -> np.ndarray:
 
 
 def _panel_nodes(lefts: np.ndarray, rights: np.ndarray):
-    """The (panels, 15) Kronrod nodes of a batch of panels, and their half-widths."""
+    """The (panels, 31) Kronrod nodes of a batch of panels, and their half-widths."""
     mids = 0.5 * (lefts + rights)
     halves = 0.5 * (rights - lefts)
     return mids[:, None] + halves[:, None] * _NODES[None, :], halves
@@ -132,7 +181,7 @@ def _panel_nodes(lefts: np.ndarray, rights: np.ndarray):
 def _estimate(kron: np.ndarray, gauss: np.ndarray, kron_abs: np.ndarray) -> np.ndarray:
     """Per-panel error estimate from the Kronrod, Gauss and Kronrod-|f| sums.
 
-    The classic sharpened difference min(|K15-G7|, (200*|K15-G7|)^1.5),
+    QUADPACK's sharpened difference min(|K31-G15|, (200*|K31-G15|)^1.5),
     floored at the round-off level 50*eps*kron_abs so an estimate of zero
     can never fake convergence to an unattainable tolerance.  The power is
     taken as x*sqrt(x), which costs half as much as x**1.5.
@@ -147,7 +196,7 @@ def _estimate(kron: np.ndarray, gauss: np.ndarray, kron_abs: np.ndarray) -> np.n
 def panel_rule(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray):
     """Kronrod values and error estimates for a batch of panels.
 
-    f maps the (panels, 15) nodes to values of shape (..., panels, 15) whose
+    f maps the (panels, 31) nodes to values of shape (..., panels, 31) whose
     leading axes are items sharing the panels; results are per item and panel.
     The estimate is _estimate's, floored with kron_abs = int|f| by the
     Kronrod rule.
@@ -161,7 +210,7 @@ def panel_rule(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights:
 
 
 def _expi(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """exp(i v phase) for each v of values, shape (panels, values.size, 15).
+    """exp(i v phase) for each v of values, shape (panels, values.size, 31).
 
     cos and sin are written into one complex array, about a fifth cheaper
     than np.exp of an imaginary argument.
@@ -174,9 +223,9 @@ def _expi(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 def _exp_progression(start: float, step: float, index: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """exp(i (start + j step) phase) for each j of index, shape (panels, index.size, 15).
+    """exp(i (start + j step) phase) for each j of index, shape (panels, index.size, 31).
 
-    index is sorted and non-negative, and phase has shape (panels, 15).
+    index is sorted and non-negative, and phase has shape (panels, 31).
     With j = c D + e and D = ceil(sqrt(index[-1] + 1)), each entry is the
     product of exp(i (start + c D step) phase) and exp(i e step phase): two
     tables of about sqrt(index[-1]) complex exponentials per node, joined
@@ -202,7 +251,7 @@ def _progression_pass(s0: float, step: float, phase: Callable[[np.ndarray], np.n
     k = todo[0] + a B + b with B = ceil(sqrt(span)), so s_k = s' + a B step
     + b step with s' = s0 + todo[0] step.  Only the rows a that hold an item
     of todo are evaluated, each against all B columns b.  Yields, per chunk
-    of rows, (items, value, error, sum |K15|) as _refine expects.
+    of rows, (items, value, error, sum |K31|) as _refine expects.
     """
     edges = _panel_edges(panels)
     nodes, halves = _panel_nodes(edges[:-1], edges[1:])
@@ -212,23 +261,24 @@ def _progression_pass(s0: float, step: float, phase: Callable[[np.ndarray], np.n
     coarse_of, fine_of = np.divmod(todo - first, width)
     rows = np.unique(coarse_of)
     columns = np.arange(width)
+    floats = 2 * _NODES.size  # a node's exponential as its (cos, sin) pair
 
     def panel_sums(chunk: np.ndarray, t: np.ndarray, h: np.ndarray):
         # weighted (K, G) rows times columns, as one real GEMM per panel
         ph, w = phase(t), h[:, None] * weight(t)
         row_table = _exp_progression(start, width * step, chunk, ph).view(float)
-        left = (w[:, None, :, None] * _SIGNED_RULES).reshape(len(t), 2, 1, 30) * row_table[:, None]
+        left = (w[:, None, :, None] * _SIGNED_RULES).reshape(len(t), 2, 1, floats) * row_table[:, None]
         columns_table = _exp_progression(0.0, step, columns, ph).view(float)
-        prod = left.reshape(len(t), 2 * chunk.size, 30) @ columns_table.transpose(0, 2, 1)
+        prod = left.reshape(len(t), 2 * chunk.size, floats) @ columns_table.transpose(0, 2, 1)
         return prod[:, :chunk.size], prod[:, chunk.size:], (np.abs(w) @ _WEIGHTS_KRONROD)[:, None, None]
 
     rows_per_chunk = max(1, _BLOCK_ELEMENTS // (2 * width))
     for first_row in range(0, rows.size, rows_per_chunk):
         chunk = rows[first_row:first_row + rows_per_chunk]
         sums = np.zeros((3, chunk.size, width))
-        # complex tables count two values per entry: rows 30 and their
-        # weighted (K, G) copies 60 per row, columns 30 per column
-        per_chunk = max(1, _BLOCK_ELEMENTS // max(2 * chunk.size * width, 30 * width, 60 * chunk.size))
+        # values held per panel: the products, the column table, and the row
+        # table with its weighted (K, G) copy
+        per_chunk = max(1, _BLOCK_ELEMENTS // max(2 * chunk.size * width, floats * width, 2 * floats * chunk.size))
         for start_panel in range(0, panels, per_chunk):
             panel = slice(start_panel, start_panel + per_chunk)
             kron, gauss, kron_abs = panel_sums(chunk, nodes[panel], halves[panel])
@@ -252,13 +302,15 @@ def _cosine_progression(s0: float, step: float, n_items: int,
     cos(s_k phase) is the real part of exp(i s_a phase) exp(i b step phase)
     with s_a the value of row a.  On each panel the Kronrod and Gauss sums
     of all items are then one real matrix product: the rows, as a
-    (2 rows x 30) table of exponentials weighted by h w K_j and h w G_j,
-    times the (30 x B) table of the columns.  Both tables are built by
+    (2 rows x 62) table of exponentials weighted by h w K_j and h w G_j,
+    times the (62 x B) table of the columns.  Both tables are built by
     _exp_progression from about sqrt(count) exponentials per node, about
-    4 n_items^(1/4) per node of a panel in all (28 for the default scan
-    grid, n = 2001), and the (items, panels, 15) array of integrand values
-    is never built.  A refinement pass lays its own progression over the
-    span of its items, so it pays for that span, not for the whole grid.
+    4 n_items^(1/4) per node in all (28 for the default scan grid,
+    n = 2001).  A panel thus costs about 124 n_items^(1/4) exponentials
+    instead of 31 n_items cosines, and the (items, panels, 31) array of
+    integrand values is never built.  A refinement pass lays its own
+    progression over the span of its items, so it pays for that span, not
+    for the whole grid.
     Rows and panels are taken in chunks whose tables and products hold at
     most _BLOCK_ELEMENTS values, a complex entry counting as two.  The
     round-off floor uses kron_abs = h sum K_j |w|, which bounds int |f_k|
@@ -296,8 +348,8 @@ def integrate(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate a batch of n_items integrands over t in [0, 1].
 
-    f(items, t) maps an index array of items and the (panels, 15) nodes to
-    values of shape (len(items), panels, 15), evaluated by panel_rule on
+    f(items, t) maps an index array of items and the (panels, 31) nodes to
+    values of shape (len(items), panels, 31), evaluated by panel_rule on
     the graded panels of _panel_edges, in blocks of _NODE_BLOCK_ELEMENTS
     integrand values.  Panels, refinement, the budget and the result
     (values, error_estimates, panels of the finest pass) are _refine's;
@@ -305,7 +357,7 @@ def integrate(
     """
     def node_pass(todo: np.ndarray, panels: int):
         edges = _panel_edges(panels)
-        per_block = max(1, _NODE_BLOCK_ELEMENTS // (15 * panels))
+        per_block = max(1, _NODE_BLOCK_ELEMENTS // (_NODES.size * panels))
         for start in range(0, todo.size, per_block):
             items = todo[start:start + per_block]
             kron, err = panel_rule(lambda t: f(items, t), edges[:-1], edges[1:])
@@ -319,11 +371,11 @@ def _refine(evaluate, n_items: int, n_panels: int, abs_tol: float,
     """The panel-doubling loop shared by every integrand.
 
     evaluate(todo, panels) yields, block by block, (items, value, error,
-    sum |K15|) per item of todo on the given number of panels of [0, 1],
+    sum |K31|) per item of todo on the given number of panels of [0, 1],
     laid by _panel_edges.  All items start on n_panels panels; an item
     whose summed estimate misses abs_tol is evaluated again on twice as
     many, until every item fits.  Refinement may add at most max_subdivisions panels
-    beyond n_panels, and an item whose round-off floor 50*eps*sum|K15|
+    beyond n_panels, and an item whose round-off floor 50*eps*sum|K31|
     already exceeds abs_tol fails at once.
 
     Returns (values, error_estimates, panels of the finest pass).

@@ -33,7 +33,7 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression,
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
 # sqrt(r) max(value, 1.5) per initial panel, see _eigenvalue_batch
-_PANEL_PHASE = 0.75 * math.pi
+_PANEL_PHASE = 3.0 * math.pi
 
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
@@ -151,13 +151,13 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     All items start on the same ceil(max sqrt(r) max(value, 1.5) / _PANEL_PHASE)
     panels in t = u / sqrt(r), graded towards t = 1, where cos(s r (1 - t^2))
     oscillates fastest (quadrature._panel_edges), so each item sees a
-    bounded stretch of the oscillation; for values up to 1 that is one
-    panel per pi/2 of u on average.  The panels of items that miss
-    quad.abs_tol are doubled.  Principal-series values at one radius that
-    form an arithmetic progression (every scan grid) are summed as matrix
-    products of shared exponential tables; every other batch, including a
-    batch of one, from integrand values at the nodes.  r = 0 gives the limit
-    value 1.
+    bounded stretch of the oscillation on each 31-node panel; for values
+    up to 1.5 that is one panel per 2 pi of u on average.  The panels of
+    items that miss quad.abs_tol are doubled.  Principal-series values at
+    one radius that form an arithmetic progression (every scan grid) are
+    summed as matrix products of shared exponential tables; every other
+    batch, including a batch of one, from integrand values at the nodes.
+    r = 0 gives the limit value 1.
     """
     radii = np.asarray(radii, dtype=float)
     _check_radius(float(radii.min()))

@@ -55,6 +55,13 @@ def legendre(param: SpectralParameter, r: float) -> float:
 @example(param=SpectralParameter.principal(1e5), r=1e-3)
 @example(param=SpectralParameter.complementary(0.5), r=600.0)
 @example(param=SpectralParameter.principal(85.0), r=30.0)
+# where 31-node panels are stretched furthest: verify-circle's widest radii
+# at s = 20 and at s = 2, whose first pass is one panel, a large s on a
+# coarse first pass, and sigma just below 1/2 on the widest panels
+@example(param=SpectralParameter.principal(20.0), r=5.4)
+@example(param=SpectralParameter.principal(2.0), r=5.4)
+@example(param=SpectralParameter.principal(100.0), r=10.0)
+@example(param=SpectralParameter.complementary(0.499), r=600.0)
 def test_eigenvalue_within_abs_tol_of_legendre(param, r):
     assert abs(eigenvalue(param, r) - legendre(param, r)) <= DEFAULT_QUADRATURE.abs_tol
 
@@ -81,6 +88,8 @@ GRIDS = st.one_of(
 @example(r=30.0, start_step=(50.0, 0.5), n=71)
 # the default r = 10 scan grid, whose top 209 points take a second, span-laid pass
 @example(r=10.0, start_step=(0.0, 0.05), n=2001)
+# the default r = 30 scan grid, on the fewest panels per unit of phase
+@example(r=30.0, start_step=(0.0, 0.05), n=2001)
 def test_progression_grid_within_abs_tol(r, start_step, n):
     s0, step = start_step
     # at most 100 in s past s0, the span of the default scan grid for

@@ -52,7 +52,7 @@ class TestIntegrate:
         f = single(lambda t: np.cos(3.0 * t))
         with pytest.raises(ToleranceNotReached, match="round-off.*budget"):
             integrate(lambda items, t: calls.append(t.shape) or f(items, t), 1, 1, 1e-300, 10**6)
-        assert calls == [(1, 15)]
+        assert calls == [(1, quadrature._NODES.size)]
 
     def test_initial_panels_count_against_budget(self):
         # 1e300 initial panels are refused before any array is built
@@ -75,7 +75,7 @@ class TestIntegrate:
         assert values[0] == alone[0]
 
     def test_blocks_split_items(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_NODE_BLOCK_ELEMENTS", 2 * 15 * 4)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK_ELEMENTS", 2 * quadrature._NODES.size * 4)
         blocks = []
         freqs = np.linspace(0.0, 5.0, 7)
 
@@ -86,6 +86,35 @@ class TestIntegrate:
         values, _, _ = integrate(batched, freqs.size, 4, 1e-10, 100)
         assert blocks == [2, 2, 2, 1]
         np.testing.assert_allclose(values, np.sinc(freqs / math.pi), rtol=0.0, atol=1e-10)
+
+
+class TestRule:
+    """The Gauss-Kronrod 15/31 tables, against exact moments and numpy's Gauss rule."""
+
+    def test_exact_on_monomials(self):
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            # the rounded tables as exact binary values; x^d over [-1, 1] is 2/(d+1) for even d
+            nodes = [mpmath.mpf(float(x)) for x in quadrature._NODES]
+            for weights, degree in ((quadrature._WEIGHTS_KRONROD, 46), (quadrature._WEIGHTS_GAUSS, 29)):
+                w = [mpmath.mpf(float(v)) for v in weights]
+                for d in range(degree + 1):
+                    exact = mpmath.mpf(2) / (d + 1) if d % 2 == 0 else 0
+                    assert abs(mpmath.fsum(wj * xj ** d for wj, xj in zip(w, nodes)) - exact) <= eps, (degree, d)
+
+    def test_symmetric(self):
+        for table in (quadrature._NODES, quadrature._WEIGHTS_KRONROD, quadrature._WEIGHTS_GAUSS):
+            assert table.shape == (31,)
+        np.testing.assert_array_equal(quadrature._NODES, -quadrature._NODES[::-1])
+        np.testing.assert_array_equal(quadrature._WEIGHTS_KRONROD, quadrature._WEIGHTS_KRONROD[::-1])
+        np.testing.assert_array_equal(quadrature._WEIGHTS_GAUSS, quadrature._WEIGHTS_GAUSS[::-1])
+
+    def test_gauss_nodes_are_every_other_kronrod_node(self):
+        gauss = quadrature._WEIGHTS_GAUSS
+        assert np.all(gauss[0::2] == 0.0) and np.all(gauss[1::2] > 0.0)
+        nodes, _ = np.polynomial.legendre.leggauss(15)
+        assert np.all(np.abs(quadrature._NODES[1::2] - nodes) <= 2 * np.spacing(np.abs(nodes)))
 
 
 class TestPanelEdges:
@@ -143,7 +172,7 @@ class TestCosineProgression:
         bound = 4.0 * np.finfo(float).eps * (1.0 + args)
         for count in counts:
             table = quadrature._exp_progression(start, step, np.arange(count), phase)
-            assert table.shape == (1, count, 15)
+            assert table.shape == (1, count, quadrature._NODES.size)
             assert np.all(np.abs(table[0] - exact[:count]) <= bound[:count])
 
     @pytest.mark.parametrize("items", [[0, 1, 700, 1999], [5, 700, 701, 2000]])

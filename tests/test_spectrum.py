@@ -13,6 +13,7 @@ from spectral_chroma import (
     Point,
     QuadratureSpec,
     SpectralParameter,
+    eigenvalue,
     envelope,
     full_range_floor,
     principal_grid,
@@ -171,7 +172,7 @@ class TestVerifyEigenfunction:
         assert points == []
 
     def test_memory_is_bounded_by_node_blocks(self):
-        # the heaviest verify-circle case: 2050 radii on 30 panels, whose
+        # the heaviest verify-circle case: 2050 radii on 5 panels, whose
         # integrand values are built in blocks of _NODE_BLOCK_ELEMENTS
         p, base = SpectralParameter.principal(20.0), Point(-0.3, 0.8)
         verify_eigenfunction(p, 5.0, base, 2048)
@@ -212,22 +213,28 @@ def refine_passes(monkeypatch) -> list[tuple[int, int]]:
     return passes
 
 
+def integrand_values(passes) -> int:
+    """Integrand values of the recorded passes: items x panels x nodes per panel."""
+    return sum(items * panels for items, panels in passes) * quadrature._NODES.size
+
+
 class TestIntegrandWork:
-    """Integrand work, as items x panels summed over passes, held to upper bounds.
+    """Integrand work, as integrand values summed over passes, held to upper bounds.
 
     The counts are exact and do not depend on the machine's speed, so a
-    layout or panel-count regression fails here however noisy the timing.
-    The finest passes are bounded by their recorded figures and the totals
-    with about 0.5% room, since the items a second pass refines sit near
-    abs_tol and rounding may move a few of them.
+    layout, panel-count or rule regression fails here however noisy the
+    timing; counting values rather than panels keeps the bounds comparable
+    across rules.  The finest passes are bounded by their recorded figures
+    and the totals with about 0.5% room, since the items a second pass
+    refines sit near abs_tol and rounding may move a few of them.
     """
 
     SWEEP_RADII = [0.1, 0.5, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0]
-    SWEEP_FINEST = [54, 31, 61, 85, 113, 270, 330, 380, 233]
+    SWEEP_FINEST = [14, 8, 16, 22, 29, 68, 84, 96, 118]
     CIRCLE_SITES = [(1.5, Point(0.7, 2.0)), (5.0, Point(-0.3, 0.8))]
     CIRCLE_PARAMS = [SpectralParameter.principal(0.5), SpectralParameter.principal(2.0),
                      SpectralParameter.principal(20.0), SpectralParameter.complementary(0.3)]
-    CIRCLE_FINEST = [2, 2, 13, 2, 2, 4, 20, 2]
+    CIRCLE_FINEST = [1, 1, 4, 1, 1, 1, 5, 1]
 
     def test_default_scans(self, monkeypatch):
         passes = refine_passes(monkeypatch)
@@ -236,9 +243,9 @@ class TestIntegrandWork:
             passes.clear()
             scan_principal(r)
             finest.append(max(panels for _, panels in passes))
-            total += sum(items * panels for items, panels in passes)
+            total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.SWEEP_FINEST)), finest
-        assert total <= 2_560_000  # 2,550,005 with graded panels; 4,069,451 on uniform ones
+        assert total <= 24_090_000  # 23,969,572 on 15/31 panels; 38,250,075 on 7/15 ones
 
     def test_circle_verification(self, monkeypatch):
         passes = refine_passes(monkeypatch)
@@ -247,7 +254,17 @@ class TestIntegrandWork:
             for param in self.CIRCLE_PARAMS:
                 passes.clear()
                 verify_eigenfunction(param, r, base, 2048)
-                finest.append(max(panels for _, panels in passes))
-                total += sum(items * panels for items, panels in passes)
+                # every case is accepted on its first pass
+                assert len(passes) == 1, (param, r, passes)
+                finest.append(passes[0][1])
+                total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.CIRCLE_FINEST)), finest
-        assert total <= 105_000  # 104,546 with graded panels; 142,100 on uniform ones
+        assert total <= 958_000  # 953,250 on 15/31 panels; 1,568,190 on 7/15 ones
+
+    @pytest.mark.parametrize("r,bound", [(100.0, 186), (300.0, 651), (600.0, 868)])
+    def test_complementary_near_one_half(self, monkeypatch, r, bound):
+        # its mass sits in t <~ 1/sqrt(sigma r), inside the widest panels of
+        # every pass; 315/1,260/1,680 values on 7/15 panels
+        passes = refine_passes(monkeypatch)
+        eigenvalue(SpectralParameter.complementary(0.499), r)
+        assert integrand_values(passes) <= bound

@@ -127,8 +127,8 @@ class TestEigenvalue:
             eigenvalue(SpectralParameter.principal(30.0), 5.0, tiny)
 
     def test_budget_counts_added_panels_only(self):
-        # 135 initial panels, then 270; a cap on the total count would refuse this
-        value = eigenvalue(SpectralParameter.principal(100.0), 10.0, QuadratureSpec(max_subdivisions=256))
+        # 34 initial panels, then 68; a cap on the total count would refuse this
+        value = eigenvalue(SpectralParameter.principal(100.0), 10.0, QuadratureSpec(max_subdivisions=64))
         assert value == pytest.approx(eigenvalue(SpectralParameter.principal(100.0), 10.0), abs=1e-10)
 
     def test_unreachable_tolerance_fails_before_refining(self, monkeypatch):
@@ -137,7 +137,7 @@ class TestEigenvalue:
         monkeypatch.setattr(quadrature, "panel_rule", lambda f, a, b: passes.append(a.size) or rule(f, a, b))
         with pytest.raises(ToleranceNotReached, match="round-off.*budget"):
             eigenvalue(SpectralParameter.principal(30.0), 5.0, QuadratureSpec(abs_tol=1e-300))
-        assert passes == [29]  # the initial panels only
+        assert passes == [8]  # the initial panels only
 
 
 class TestOdeOracle:
