@@ -30,7 +30,7 @@ from .errors import (
     StepSizeUnderflow,
     ToleranceNotReached,
 )
-from .geometry import MAX_CIRCLE_RADIUS, ORIGIN, MoebiusMap, Point, circle_point, distance
+from .geometry import MAX_CIRCLE_RADIUS, ORIGIN, Point, circle_point, distance
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .spectrum import (
     SpectrumSummary,
@@ -57,7 +57,6 @@ __all__ = [
     "GraphSpectrumResult",
     "HoffmanInputs",
     "MAX_CIRCLE_RADIUS",
-    "MoebiusMap",
     "NevoComparison",
     "ORIGIN",
     "OperatorBound",

@@ -3,7 +3,7 @@
 Scans the principal series for its minimum (the quantity that drives the
 independence-ratio bound), reports the certified analytic floor, and checks
 the eigenfunction identity directly by discrete circle averaging, with
-the circle evaluated as arrays through the Möbius route of geometry.  Grid
+the circle evaluated as arrays by geometry's closed form.  Grid
 and refinement sub-grid evaluations are batch calls independent of each
 other; summaries are assembled by a single reducer with no shared mutable
 state.
@@ -117,7 +117,10 @@ def _scan(r: float, s_max: float | None, grid_step: float,
         raise DomainError(f"scan needs r > 0, got {r}")
     if s_max is None:
         s_max = default_s_max(r)
-    if not (math.isfinite(s_max) and s_max >= 1.0):
+    if not math.isfinite(s_max):
+        raise DomainError(f"s_max must be finite, got {s_max}; the default window max(100, 40/r) "
+                          f"overflows for r below about 2.2e-307")
+    if not s_max >= 1.0:
         raise DomainError(f"s_max < 1 would make the scan vacuous, got {s_max}")
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise DomainError(f"grid_step must be positive, got {grid_step}")
@@ -182,8 +185,8 @@ def verify_eigenfunction(
     result is compared with eigenvalue(param, r) * phi(base).  Equal angle
     steps realize the rotation-invariant measure, so this is a trapezoid
     rule on a smooth periodic integrand and the residual decays spectrally
-    in n_points.  The circle points come from one array Möbius composition
-    and all n_points + 2 eigenvalues from one batch call.
+    in n_points.  The circle points come from one array call of
+    circle_coords and all n_points + 2 eigenvalues from one batch call.
     """
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")

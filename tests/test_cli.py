@@ -455,6 +455,14 @@ class TestInProcess:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_default_window_exits_2(self, capsys):
+        # 40/r is inf, which is not a window below 1
+        code, out, err = run_main(capsys, "scan", "--r", "1e-320")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err and "< 1" not in err
+
     @pytest.mark.parametrize("base", ["1e308,1", "0,1e-310"])
     def test_circle_out_of_range_names_the_base(self, base, capsys):
         code, out, err = run_main(capsys, "verify", "--r", "1.5", "--s", "2", "--base", base)

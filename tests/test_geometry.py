@@ -9,7 +9,6 @@ from spectral_chroma import (
     MAX_CIRCLE_RADIUS,
     ORIGIN,
     DomainError,
-    MoebiusMap,
     Point,
     circle_point,
     distance,
@@ -18,13 +17,21 @@ from spectral_chroma import geometry
 from spectral_chroma.geometry import circle_coords, coord_distance
 
 
-def random_map(rng) -> MoebiusMap:
-    # Iwasawa-style sample: shear * diagonal * rotation, unit determinant
+def iwasawa_action(rng):
+    """The isometry z -> (az+b)/(cz+d) of shear(x) * diag(e^(t/2), e^(-t/2)) * rotation(phi)."""
     x = rng.uniform(-2.0, 2.0)
     t = rng.uniform(-3.0, 3.0)
     phi = rng.uniform(0.0, 2.0 * math.pi)
-    shear = MoebiusMap(1.0, x, 0.0, 1.0)
-    return shear.compose(MoebiusMap.push(t)).compose(MoebiusMap.rotation(phi))
+    e = math.exp(0.5 * t)
+    c, d = -math.sin(phi) / e, math.cos(phi) / e
+    a, b = e * math.cos(phi) + x * c, e * math.sin(phi) + x * d
+
+    def act(p: Point) -> Point:
+        z = complex(p.x, p.y)
+        w = (a * z + b) / (c * z + d)
+        return Point(w.real, w.imag)
+
+    return act
 
 
 def random_point(rng) -> Point:
@@ -93,62 +100,12 @@ class TestDistance:
         with pytest.raises(DomainError, match="leaves double range"):
             distance(Point(-1e308, 1.0), Point(1e308, 1.0))
 
-
-class TestMoebiusMap:
-    def test_identity_fixes_points(self):
-        p = Point(0.3, 2.0)
-        q = MoebiusMap.identity().apply(p)
-        assert (q.x, q.y) == (0.3, 2.0)
-
-    def test_push_moves_origin_up(self):
-        r = 1.7
-        q = MoebiusMap.push(r).apply(ORIGIN)
-        assert q.x == 0.0
-        assert q.y == pytest.approx(math.exp(r), rel=1e-14)
-
-    def test_rotation_stabilizes_origin(self):
-        for phi in np.linspace(0.0, math.pi, 17):
-            q = MoebiusMap.rotation(phi).apply(ORIGIN)
-            assert abs(q.x) < 1e-15
-            assert q.y == pytest.approx(1.0, abs=1e-15)
-
-    def test_determinant_renormalized(self):
-        g = MoebiusMap(2.0, 0.0, 0.0, 2.0)
-        assert abs(g.a * g.d - g.b * g.c - 1.0) <= 1e-12
-        assert g == MoebiusMap.identity()
-
-    def test_sign_quotient_equality(self):
-        g = MoebiusMap(1.0, 2.0, 0.5, 2.0)
-        h = MoebiusMap(-1.0, -2.0, -0.5, -2.0)
-        assert g == h
-        assert hash(g) == hash(h)
-
-    def test_rejects_nonpositive_determinant(self):
-        with pytest.raises(DomainError):
-            MoebiusMap(1.0, 0.0, 0.0, -1.0)
-        with pytest.raises(DomainError):
-            MoebiusMap(1.0, 1.0, 1.0, 1.0)
-
-    def test_inverse_composes_to_identity(self):
-        rng = np.random.default_rng(103)
-        for _ in range(50):
-            g = random_map(rng)
-            p = random_point(rng)
-            q = g.inverse().apply(g.apply(p))
-            assert q.x == pytest.approx(p.x, abs=1e-10)
-            assert q.y == pytest.approx(p.y, rel=1e-10)
-
     def test_isometry_invariance(self):
         rng = np.random.default_rng(104)
         for _ in range(1000):
-            g = random_map(rng)
+            g = iwasawa_action(rng)
             p, q = random_point(rng), random_point(rng)
-            assert abs(distance(g.apply(p), g.apply(q)) - distance(p, q)) < 1e-10
-
-    def test_image_stays_in_half_plane(self):
-        rng = np.random.default_rng(105)
-        for _ in range(200):
-            assert random_map(rng).apply(random_point(rng)).y > 0.0
+            assert abs(distance(g(p), g(q)) - distance(p, q)) < 1e-10
 
 
 class TestCirclePoint:
@@ -178,18 +135,25 @@ class TestCirclePoint:
             assert np.all(np.abs(coord_distance(center.x, center.y, x, y) - r) <= 1e-9)
 
     def test_coords_match_circle_point_and_map_composition(self):
+        mpmath = pytest.importorskip("mpmath")
         center = Point(-0.3, 0.8)
         thetas = np.arange(256) * (2.0 * math.pi / 256)
-        x, y = circle_coords(center, 5.0, thetas)
-        for theta, xj, yj in zip(thetas, x, y):
-            q = circle_point(center, 5.0, theta)
-            assert (q.x, q.y) == (xj, yj)
-            # the composition one MoebiusMap at a time, as a loop reference;
-            # scalar and array sin/cos may differ in the last bit
-            g = MoebiusMap.origin_to(center).compose(MoebiusMap.rotation(0.5 * theta)).compose(MoebiusMap.push(5.0))
-            ref = g.apply(ORIGIN)
-            assert xj == pytest.approx(ref.x, rel=1e-13, abs=1e-13)
-            assert yj == pytest.approx(ref.y, rel=1e-13)
+        eps = np.finfo(float).eps
+        for r in (1e-300, 1e-8, 0.5, 5.0, 40.0):
+            x, y = circle_coords(center, r, thetas)
+            # the image of i under origin_to(center) * rotation(theta/2) * push(r);
+            # cosh r - sinh r cos(theta) cancels up to 2r/ln(10), about 35 digits at
+            # r = 40, so 80 digits leave 40 for the reference
+            with mpmath.workdps(80):
+                R = mpmath.mpf(r)
+                for theta, xj, yj in zip(thetas, x, y):
+                    q = circle_point(center, r, theta)
+                    assert (q.x, q.y) == (xj, yj)
+                    denom = mpmath.cosh(R) - mpmath.sinh(R) * mpmath.cos(theta)
+                    ref_x = center.x - center.y * mpmath.sinh(R) * mpmath.sin(theta) / denom
+                    ref_y = center.y / denom
+                    assert abs(xj - ref_x) <= 16 * eps * max(abs(ref_x), center.y), (r, theta)
+                    assert abs(yj - ref_y) <= 16 * eps * ref_y, (r, theta)
 
     def test_blocks_give_the_same_bits(self, monkeypatch):
         thetas = np.arange(100) * (2.0 * math.pi / 100)
@@ -224,7 +188,18 @@ class TestCirclePoint:
             with pytest.raises(DomainError):
                 circle_coords(ORIGIN, r, np.linspace(0.0, 6.0, 8))
 
-    @pytest.mark.parametrize("center", [Point(1e308, 1.0), Point(0.0, 1e-310)])
-    def test_rejects_circle_outside_double_range(self, center):
+    # y overflows at the top of the first circle and underflows to 0 on the second
+    @pytest.mark.parametrize("center, r", [(Point(0.0, 1e300), 40.0), (Point(0.0, 5e-324), 1.5)],
+                             ids=["center0", "center1"])
+    def test_rejects_circle_outside_double_range(self, center, r):
         with pytest.raises(DomainError, match=re.escape(f"base ({center.x}, {center.y})")):
-            circle_coords(center, 1.5, np.linspace(0.0, 6.0, 8))
+            circle_coords(center, r, np.linspace(0.0, 6.0, 8))
+
+    def test_circles_near_the_ends_of_double_range(self):
+        thetas = np.linspace(0.0, 6.0, 8)
+        center = Point(0.0, 1e-310)
+        x, y = circle_coords(center, 1.5, thetas)
+        assert np.all(np.abs(coord_distance(center.x, center.y, x, y) - 1.5) <= 1e-9)
+        # x0 - y0 * 2 sinh(r) sin(theta/2) cos(theta/2) / D rounds to x0
+        x, y = circle_coords(Point(1e308, 1.0), 1.5, thetas)
+        assert np.all(x == 1e308) and np.all(np.isfinite(y) & (y > 0.0))

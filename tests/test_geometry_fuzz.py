@@ -1,18 +1,20 @@
 """Property test of the public geometry API over the whole double range.
 
-distance, circle_point and MoebiusMap either return finite values or raise
-DomainError, for coordinates of magnitude 1e-310 to 1e308 of either sign;
-no other exception may escape.
+distance, circle_point and circle_coords either return finite values (and
+points with y > 0) or raise DomainError, for coordinates of magnitude
+1e-310 to 1e308 of either sign; no other exception may escape.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spectral_chroma import DomainError, MoebiusMap, Point, circle_point, distance
+from spectral_chroma import MAX_CIRCLE_RADIUS, DomainError, Point, circle_point, distance
+from spectral_chroma.geometry import circle_coords
 
 MAGNITUDES = st.builds(lambda e: 10.0 ** e, st.floats(-310.0, 308.0))
 REALS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
@@ -37,10 +39,6 @@ def finite_point(p):
     return isinstance(p, Point) and math.isfinite(p.x) and math.isfinite(p.y) and p.y > 0.0
 
 
-def finite_map(g):
-    return isinstance(g, MoebiusMap) and all(math.isfinite(v) for v in (g.a, g.b, g.c, g.d))
-
-
 @FUZZ
 @given(p=POINTS, q=POINTS)
 def test_distance(p, q):
@@ -63,31 +61,18 @@ def test_circle_point(center, r, theta):
 
 
 @FUZZ
-@given(entries=st.tuples(REALS, REALS, REALS, REALS), other=st.tuples(REALS, REALS, REALS, REALS),
-       p=POINTS)
-def test_moebius_map(entries, other, p):
-    g, h, p = outcome(MoebiusMap, *entries), outcome(MoebiusMap, *other), outcome(Point, *p)
-    for m in (g, h):
-        assert m is None or finite_map(m), m
-    if g is None:
+@given(center=POINTS, r=st.one_of(REALS, st.floats(0.0, MAX_CIRCLE_RADIUS)),
+       thetas=st.lists(REALS, max_size=4))
+# y overflows, x stays at x0 = 1e308, y underflows to 0
+@example(center=(0.0, 1e300), r=40.0, thetas=[])
+@example(center=(1e308, 1.0), r=1.5, thetas=[1.0])
+@example(center=(0.0, 5e-324), r=1.5, thetas=[])
+def test_circle_coords(center, r, thetas):
+    center = outcome(Point, *center)
+    if center is None:
         return
-    inv = outcome(g.inverse)
-    assert inv is None or finite_map(inv), (g, inv)
-    if h is not None:
-        gh = outcome(g.compose, h)
-        assert gh is None or finite_map(gh), (g, h, gh)
-    if p is not None:
-        image = outcome(g.apply, p)
-        assert image is None or finite_point(image), (g, p, image)
-
-
-@FUZZ
-@given(v=REALS, p=POINTS)
-def test_generators(v, p):
-    for make in (MoebiusMap.rotation, MoebiusMap.push):
-        m = outcome(make, v)
-        assert m is None or finite_map(m), (make, v, m)
-    p = outcome(Point, *p)
-    if p is not None:
-        m = outcome(MoebiusMap.origin_to, p)
-        assert m is None or finite_map(m), (p, m)
+    thetas = [0.0, math.pi, *thetas]
+    coords = outcome(circle_coords, center, r, thetas)
+    if coords is not None:
+        x, y = coords
+        assert np.all(np.isfinite(x) & np.isfinite(y) & (y > 0.0)), (center, r, thetas, x, y)
