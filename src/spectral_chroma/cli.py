@@ -321,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=float, required=True)
     _add_parameter_flags(p_verify)
     p_verify.add_argument("--n", type=int, help=f"circle sample count (default {_FLAG_DEFAULTS['n']})")
-    p_verify.add_argument("--base", default="0.0,1.0", help="base point as 'x,y' (default origin); "
-                          "a negative x needs the form --base=-0.3,0.8")
+    p_verify.add_argument("--base", default="0.7,2.0", help="base point as 'x,y' (default 0.7,2.0; at i any "
+                          "radial function passes); a negative x needs the form --base=-0.3,0.8")
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

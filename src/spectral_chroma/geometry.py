@@ -55,11 +55,19 @@ def coord_distance(x1, y1, x2, y2):
     Neither the squared separation nor the heights' product is formed, so
     neither can underflow or overflow on its own.  Symmetric at the bit
     level: every floating-point operation commutes under swapping the two
-    points.  Separations or ratios that leave double range come out as inf.
+    points.  Where q overflows but the separation is finite, the distance
+    is 2 log q = 2 (log(sep) - (log y + log y') / 2), which 2 asinh(q / 2)
+    = 2 log q + O(1/q^2) equals in double there.  Separations that leave
+    double range come out as inf.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         separation = np.hypot(x2 - x1, y2 - y1)
-        return 2.0 * np.arcsinh(0.5 * (separation / (np.sqrt(y1) * np.sqrt(y2))))
+        q = separation / (np.sqrt(y1) * np.sqrt(y2))
+        d = 2.0 * np.arcsinh(0.5 * q)
+        far = np.isinf(q) & np.isfinite(separation)
+        if np.any(far):
+            d = np.where(far, 2.0 * (np.log(separation) - 0.5 * (np.log(y1) + np.log(y2))), d)[()]
+        return d
 
 
 def distance(p: Point, q: Point) -> float:

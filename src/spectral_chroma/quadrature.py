@@ -131,19 +131,20 @@ class QuadratureSpec:
     """Error budget for the integrator."""
 
     abs_tol: float = 1e-10
-    max_subdivisions: int = 65536
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 _EPS = float(np.finfo(float).eps)
+
+# panels of one pass at most, so an item's integrand values and every
+# temporary of the node path hold at most _MAX_PANELS x 31 doubles
+_MAX_PANELS = 2**17
 
 # values held at once by one block of work: trigonometric tables and their
 # products on the matrix path, and integrand values (items x panels x
@@ -294,8 +295,7 @@ def _progression_pass(s0: float, step: float, phase: Callable[[np.ndarray], np.n
 def _cosine_progression(s0: float, step: float, n_items: int,
                         phase: Callable[[np.ndarray], np.ndarray],
                         weight: Callable[[np.ndarray], np.ndarray],
-                        n_panels: int, abs_tol: float,
-                        max_subdivisions: int) -> tuple[np.ndarray, np.ndarray, int]:
+                        panels: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate f_k(t) = cos((s0 + k step) phase(t)) weight(t), k < n_items, over [0, 1].
 
     Each pass (_progression_pass) splits its items k = a B + b, so that
@@ -314,91 +314,74 @@ def _cosine_progression(s0: float, step: float, n_items: int,
     Rows and panels are taken in chunks whose tables and products hold at
     most _BLOCK_ELEMENTS values, a complex entry counting as two.  The
     round-off floor uses kron_abs = h sum K_j |w|, which bounds int |f_k|
-    for every k since |cos| <= 1.  Panels, refinement, the budget and the
-    result are _refine's, as in integrate.
+    for every k since |cos| <= 1.  The first-pass count panels, refinement,
+    the panel budget and the result are _refine's, as in integrate.
     """
-    return _refine(lambda todo, panels: _progression_pass(s0, step, phase, weight, todo, panels),
-                   n_items, n_panels, abs_tol, max_subdivisions)
-
-
-def initial_panels(width: float, max_panel_width: float, max_subdivisions: int) -> int:
-    """First-pass panel count ceil(width / max_panel_width), at least 1.
-
-    The count is of panels laid by _panel_edges, so max_panel_width is an
-    average width in the caller's units, not a cap on every panel.
-
-    The count is checked against the subdivision budget before anything is
-    allocated, so a panel cap far below the interval raises
-    ToleranceNotReached instead of building an array sized by the input.
-    """
-    ratio = width / max_panel_width if max_panel_width > 0.0 else math.inf
-    if not ratio <= max_subdivisions:
-        raise ToleranceNotReached(
-            f"{ratio:.3e} initial panels exceed the subdivision budget {max_subdivisions}"
-        )
-    return max(1, math.ceil(ratio))
+    return _refine(lambda todo, count: _progression_pass(s0, step, phase, weight, todo, count),
+                   n_items, panels, abs_tol)
 
 
 def integrate(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_items: int,
-    n_panels: int,
+    panels: float,
     abs_tol: float,
-    max_subdivisions: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate a batch of n_items integrands over t in [0, 1].
 
     f(items, t) maps an index array of items and the (panels, 31) nodes to
     values of shape (len(items), panels, 31), evaluated by panel_rule on
     the graded panels of _panel_edges, in blocks of _NODE_BLOCK_ELEMENTS
-    integrand values.  Panels, refinement, the budget and the result
-    (values, error_estimates, panels of the finest pass) are _refine's;
-    ToleranceNotReached when the budget is exhausted.
+    integrand values.  The first-pass count panels (a real number, rounded
+    up), refinement, the panel budget and the result (values,
+    error_estimates, panels of the finest pass) are _refine's;
+    ToleranceNotReached when a pass would exceed the budget.
     """
-    def node_pass(todo: np.ndarray, panels: int):
-        edges = _panel_edges(panels)
-        per_block = max(1, _NODE_BLOCK_ELEMENTS // (_NODES.size * panels))
+    def node_pass(todo: np.ndarray, count: int):
+        edges = _panel_edges(count)
+        per_block = max(1, _NODE_BLOCK_ELEMENTS // (_NODES.size * count))
         for start in range(0, todo.size, per_block):
             items = todo[start:start + per_block]
             kron, err = panel_rule(lambda t: f(items, t), edges[:-1], edges[1:])
             yield items, kron.sum(axis=-1), err.sum(axis=-1), np.abs(kron).sum(axis=-1)
 
-    return _refine(node_pass, n_items, n_panels, abs_tol, max_subdivisions)
+    return _refine(node_pass, n_items, panels, abs_tol)
 
 
-def _refine(evaluate, n_items: int, n_panels: int, abs_tol: float,
-            max_subdivisions: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _refine(evaluate, n_items: int, panels: float, abs_tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     """The panel-doubling loop shared by every integrand.
 
-    evaluate(todo, panels) yields, block by block, (items, value, error,
-    sum |K31|) per item of todo on the given number of panels of [0, 1],
-    laid by _panel_edges.  All items start on n_panels panels; an item
-    whose summed estimate misses abs_tol is evaluated again on twice as
-    many, until every item fits.  Refinement may add at most max_subdivisions panels
-    beyond n_panels, and an item whose round-off floor 50*eps*sum|K31|
-    already exceeds abs_tol fails at once.
+    evaluate(todo, count) yields, block by block, (items, value, error,
+    sum |K31|) per item of todo on count panels of [0, 1], laid by
+    _panel_edges.  All items start on ceil(panels) panels, at least one;
+    an item whose summed estimate misses abs_tol is evaluated again on
+    twice as many, until every item fits.  No pass may have more than
+    _MAX_PANELS panels: the count is checked before each pass, the first
+    included, so a count of inf or 1e300 is refused before any array is
+    built.  An item whose round-off floor 50*eps*sum|K31| already exceeds
+    abs_tol fails at once.
 
     Returns (values, error_estimates, panels of the finest pass).
-    Raises ToleranceNotReached when the budget is exhausted.
+    Raises ToleranceNotReached when a pass would exceed the panel budget.
     """
     values, errors = np.empty(n_items), np.empty(n_items)
     todo = np.arange(n_items)
-    panels = n_panels
     while True:
+        if not panels <= _MAX_PANELS:
+            raise ToleranceNotReached(
+                f"a pass of {panels:.3e} panels exceeds the panel budget {_MAX_PANELS} "
+                f"before abs_tol {abs_tol:.3e} is reached"
+            )
+        panels = max(1, math.ceil(panels))
         for items, value, error, magnitude in evaluate(todo, panels):
             values[items], errors[items] = value, error
             floor = 50.0 * _EPS * magnitude.max()
             if floor > abs_tol:
                 raise ToleranceNotReached(
                     f"round-off floor {floor:.3e} exceeds abs_tol {abs_tol:.3e}; "
-                    "no subdivision budget reaches it"
+                    "no panel budget reaches it"
                 )
         todo = todo[errors[todo] > abs_tol]
         if todo.size == 0:
             return values, errors, panels
-        if 2 * panels - n_panels > max_subdivisions:
-            raise ToleranceNotReached(
-                f"subdivision budget {max_subdivisions} exhausted with error "
-                f"{errors[todo].max():.3e} > abs_tol {abs_tol:.3e}"
-            )
         panels *= 2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepSizeUnderflow
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, initial_panels, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _cosine_progression, integrate
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
 # sqrt(r) max(value, 1.5) per initial panel, see _eigenvalue_batch
@@ -153,7 +153,8 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     oscillates fastest (quadrature._panel_edges), so each item sees a
     bounded stretch of the oscillation on each 31-node panel; for values
     up to 1.5 that is one panel per 2 pi of u on average.  The panels of
-    items that miss quad.abs_tol are doubled.  Principal-series values at
+    items that miss quad.abs_tol are doubled, up to quadrature._MAX_PANELS
+    panels per pass, the first included.  Principal-series values at
     one radius that form an arithmetic progression (every scan grid) are
     summed as matrix products of shared exponential tables; every other
     batch, including a batch of one, from integrand values at the nodes.
@@ -167,15 +168,13 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     if live.size == 0:
         return out
     v, r = values[live], (radii if radii.ndim == 0 else radii[live])
-    n_panels = initial_panels(float(np.max(np.sqrt(r) * np.maximum(v, 1.5))),
-                              _PANEL_PHASE, quad.max_subdivisions)
+    panels = float(np.max(np.sqrt(r) * np.maximum(v, 1.5))) / _PANEL_PHASE
     if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
         step = v[1] - v[0]
         if np.array_equal(v, v[0] + np.arange(v.size) * step):
             out[live] = _cosine_progression(
                 v[0], step, v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
-                lambda t: _smooth_weight(t, r),
-                n_panels, quad.abs_tol, quad.max_subdivisions)[0]
+                lambda t: _smooth_weight(t, r), panels, quad.abs_tol)[0]
             return out
     kernel = np.cos if kind == PRINCIPAL else np.cosh
 
@@ -186,7 +185,7 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
         fv *= _smooth_weight(t, rb)
         return fv
 
-    out[live] = integrate(integrand, v.size, n_panels, quad.abs_tol, quad.max_subdivisions)[0]
+    out[live] = integrate(integrand, v.size, panels, quad.abs_tol)[0]
     return out
 
 

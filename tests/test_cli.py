@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from spectral_chroma import cli, spectrum
+from spectral_chroma import cli, quadrature, spectrum
 from spectral_chroma import (
     QuadratureSpec,
     SpectralParameter,
@@ -310,20 +310,27 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg"
-        cfg.write_text("wibble = 3\n")
-        code, _, err = run_cli(
-            "eval", "--r", "2", "--s", "1", env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)}
-        )
-        assert code == 2
-        assert "wibble" in err
+        # the panel budget is a constant of the integrator, not a setting
+        for key in ("wibble", "max_subdivisions"):
+            cfg.write_text(f"{key} = 2\n")
+            code, _, err = run_cli(
+                "eval", "--r", "2", "--s", "1", env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)}
+            )
+            assert code == 2
+            assert key in err
 
-    def test_budget_from_file_trips_exit_3(self, tmp_path):
+    def test_budget_from_file_trips_exit_3(self, tmp_path, monkeypatch, capsys):
+        # at r = 10, s = 100 the first pass has 34 panels; abs_tol 1e-8
+        # fits there, 1e-12 needs a second pass of 68
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 34)
         cfg = tmp_path / "cfg"
-        cfg.write_text("abs_tol = 1e-30\nmax_subdivisions = 2\n")
-        code, _, _ = run_cli(
-            "eval", "--r", "2", "--s", "30", env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)}
-        )
+        monkeypatch.setenv("SPECTRAL_CHROMA_CONFIG", str(cfg))
+        cfg.write_text("abs_tol = 1e-8\n")
+        assert run_main(capsys, "eval", "--r", "10", "--s", "100")[0] == 0
+        cfg.write_text("abs_tol = 1e-12\n")
+        code, out, err = run_main(capsys, "eval", "--r", "10", "--s", "100")
         assert code == 3
+        assert out == "" and "panel budget 34" in err
 
     def test_scan_defaults_from_file(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -337,12 +344,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("config, argv, section, expected", [
         ("n = 64\n", ("verify", "--r", "1.5", "--s", "2"), "inputs", {"n": 64}),
-        ("abs_tol = 1e-8\nmax_subdivisions = 4096\n",
+        ("abs_tol = 1e-8\n",
          ("scan", "--r", "4", "--s-max", "5", "--step", "0.5"),
-         "meta", {"abs_tol": 1e-8, "max_subdivisions": 4096}),
-        ("abs_tol = 1e-8\nmax_subdivisions = 4096\n",
+         "meta", {"abs_tol": 1e-8}),
+        ("abs_tol = 1e-8\n",
          ("verify", "--r", "1.5", "--s", "2", "--n", "64"),
-         "meta", {"abs_tol": 1e-8, "max_subdivisions": 4096}),
+         "meta", {"abs_tol": 1e-8}),
         ("s_max = 5\nstep = 0.5\n",
          ("scan", "--r", "4", "--s-max", "3", "--step", "0.25"),
          "inputs", {"s_max": 3.0, "step": 0.25}),
@@ -355,6 +362,9 @@ class TestConfigFile:
         assert code == 0
         record = json.loads(out)[section]
         assert {key: record[key] for key in expected} == expected
+        if section == "meta":
+            # the QuadratureSpec fields, and nothing else of the integrator
+            assert record.keys() - {"version", "refine_xtol"} == expected.keys()
 
     @pytest.mark.parametrize("command", ["bounds", "graph"])
     def test_bounds_and_graph_never_read_the_file(self, tmp_path, command):
@@ -448,6 +458,19 @@ class TestInProcess:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
+
+    def test_default_base_catches_a_wrong_radial_function(self, monkeypatch, capsys):
+        # phi(d) off by 1e-3 d exp(-d), which is 0 at d = 0: around i every
+        # circle point lies at distance r, so only a base off i sees it
+        batch = spectrum._eigenvalue_batch
+        monkeypatch.setattr(spectrum, "_eigenvalue_batch", lambda kind, values, radii, quad: (
+            batch(kind, values, radii, quad) + 1e-3 * radii * np.exp(-radii)))
+        assert run_main(capsys, "verify", "--r", "1.5", "--s", "2", "--base", "0,1")[0] == 0
+        code, out, _ = run_main(capsys, "verify", "--r", "1.5", "--s", "2")
+        assert code == 5
+        record = json.loads(out)
+        assert record["inputs"]["base"] == "0.7,2.0"
+        assert record["results"]["residual"]["value"] > 1e-4
 
     def test_oversized_scan_grid_exits_2(self, capsys):
         code, out, err = run_main(capsys, "scan", "--r", "4", "--step", "1e-300")

@@ -96,6 +96,21 @@ class TestDistance:
         assert distance(ORIGIN, Point(0.0, 1e200)) == pytest.approx(want, rel=1e-15)
         assert want == pytest.approx(460.517, abs=1e-3)
 
+    def test_overflowing_ratio_matches_mpmath(self):
+        # the separation 1e308 is finite, but divided by sqrt(exp(-1.5)) it is not
+        mpmath = pytest.importorskip("mpmath")
+        y = math.exp(-1.5)
+        with mpmath.workdps(40):
+            x1, y1 = mpmath.mpf(1e308), mpmath.mpf(y)
+            want = float(mpmath.acosh(1 + (x1 ** 2 + (y1 - 1) ** 2) / (2 * y1)))
+        assert want == pytest.approx(1419.892, abs=1e-3)
+        assert coord_distance(1e308, y, 0.0, 1.0) == pytest.approx(want, rel=1e-15)
+        assert coord_distance(0.0, 1.0, 1e308, y) == coord_distance(1e308, y, 0.0, 1.0)
+        # in an array, the overflowing pair leaves its neighbours as they were
+        d = coord_distance(np.array([0.0, 1e308, 1.0]), np.array([1.0, y, 1.0]), 0.0, 1.0)
+        assert d[0] == 0.0 and d[1] == coord_distance(1e308, y, 0.0, 1.0)
+        assert d[2] == distance(ORIGIN, Point(1.0, 1.0))
+
     def test_separation_beyond_double_range_is_refused(self):
         with pytest.raises(DomainError, match="leaves double range"):
             distance(Point(-1e308, 1.0), Point(1e308, 1.0))

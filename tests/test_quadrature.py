@@ -5,7 +5,7 @@ import pytest
 
 from spectral_chroma import DomainError, QuadratureSpec, ToleranceNotReached
 from spectral_chroma import quadrature
-from spectral_chroma.quadrature import initial_panels, integrate, panel_rule
+from spectral_chroma.quadrature import integrate, panel_rule
 
 
 def single(g):
@@ -15,63 +15,77 @@ def single(g):
 
 class TestIntegrate:
     def test_polynomial(self):
-        values, errs, _ = integrate(single(lambda t: t * t), 1, 1, 1e-12, 100)
+        values, errs, _ = integrate(single(lambda t: t * t), 1, 1, 1e-12)
         assert values[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert errs[0] <= 1e-12
 
     def test_sine_hump(self):
-        values, _, _ = integrate(single(lambda t: math.pi * np.sin(math.pi * t)), 1, 1, 1e-12, 1000)
+        values, _, _ = integrate(single(lambda t: math.pi * np.sin(math.pi * t)), 1, 1, 1e-12)
         assert values[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_oscillatory_with_panel_cap(self):
         s = 50.0
-        n_panels = initial_panels(1.0, 0.5 * math.pi / s, 10000)
-        values, _, _ = integrate(single(lambda t: np.cos(s * t)), 1, n_panels, 1e-12, 10000)
+        values, _, _ = integrate(single(lambda t: np.cos(s * t)), 1, s / (0.5 * math.pi), 1e-12)
         assert values[0] == pytest.approx(math.sin(s) / s, abs=1e-12)
 
     def test_steep_exponential_adapts(self):
         # exp(-40 x) on [0, 5], rescaled to [0, 1]
-        values, _, panels = integrate(single(lambda t: 5.0 * np.exp(-200.0 * t)), 1, 1, 1e-12, 10000)
+        values, _, panels = integrate(single(lambda t: 5.0 * np.exp(-200.0 * t)), 1, 1, 1e-12)
         assert values[0] == pytest.approx((1.0 - math.exp(-200.0)) / 40.0, rel=1e-11)
         assert panels > 1
 
     def test_error_estimate_is_honest(self):
         # cos(7 x) exp(x) on [0, 2], rescaled to [0, 1]
         values, errs, _ = integrate(single(lambda t: 2.0 * np.cos(14.0 * t) * np.exp(2.0 * t)),
-                                    1, 1, 1e-10, 10000)
+                                    1, 1, 1e-10)
         exact = (math.exp(2.0) * (math.cos(14.0) + 7.0 * math.sin(14.0)) - 1.0) / 50.0
         assert abs(values[0] - exact) <= max(errs[0], 1e-10)
 
-    def test_budget_exhaustion_raises(self):
-        # 1 -> 16 panels would add 15 > 8
-        with pytest.raises(ToleranceNotReached, match="subdivision budget"):
-            integrate(single(lambda t: 5.0 * np.exp(-200.0 * t)), 1, 1, 1e-12, 8)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        passes = []
+        rule = quadrature.panel_rule
+        monkeypatch.setattr(quadrature, "panel_rule", lambda f, a, b: passes.append(a.size) or rule(f, a, b))
+        steep = single(lambda t: 5.0 * np.exp(-200.0 * t))
+        # a pass of exactly the budget runs
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        assert integrate(steep, 1, 1, 1e-12)[2] == 16
+        assert passes == [1, 2, 4, 8, 16]
+        # one panel less, the doubling to 16 raises before panel_rule sees it
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 15)
+        passes.clear()
+        with pytest.raises(ToleranceNotReached, match="1.600e\\+01 panels exceeds the panel budget 15"):
+            integrate(steep, 1, 1, 1e-12)
+        assert passes == [1, 2, 4, 8]
 
     def test_round_off_floor_fails_at_once(self):
         calls = []
         f = single(lambda t: np.cos(3.0 * t))
         with pytest.raises(ToleranceNotReached, match="round-off.*budget"):
-            integrate(lambda items, t: calls.append(t.shape) or f(items, t), 1, 1, 1e-300, 10**6)
+            integrate(lambda items, t: calls.append(t.shape) or f(items, t), 1, 1, 1e-300)
         assert calls == [(1, quadrature._NODES.size)]
 
-    def test_initial_panels_count_against_budget(self):
-        # 1e300 initial panels are refused before any array is built
-        with pytest.raises(ToleranceNotReached, match="initial panels"):
-            initial_panels(1.0, 1e-300, 100)
-        n_panels = initial_panels(1.0, 0.25, 4)
-        assert n_panels == 4
-        values, _, _ = integrate(single(np.sin), 1, n_panels, 1e-10, 4)
+    def test_initial_panels_count_against_budget(self, monkeypatch):
+        # an oversized first pass is refused before any array is built
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+        calls = []
+        for panels in (1e300, math.inf, 4.5):
+            with pytest.raises(ToleranceNotReached, match="panel budget 4"):
+                integrate(lambda items, t: calls.append(t.shape), 1, panels, 1e-10)
+        assert calls == []
+        # a real count is rounded up: 3.5 runs on 4 panels, the whole budget
+        values, _, panels = integrate(single(np.sin), 1, 3.5, 1e-10)
+        assert panels == 4
         assert values[0] == pytest.approx(1.0 - math.cos(1.0), abs=1e-12)
 
     def test_items_refine_independently(self):
         freqs = np.array([1.0, 40.0, 3.0])
         batched = lambda items, t: np.cos(freqs[items, None, None] * t)
-        values, errs, panels = integrate(batched, freqs.size, 1, 1e-12, 10000)
+        values, errs, panels = integrate(batched, freqs.size, 1, 1e-12)
         assert panels > 1
         assert np.all(errs <= 1e-12)
         np.testing.assert_allclose(values, np.sin(freqs) / freqs, rtol=0.0, atol=1e-12)
         # the smooth items stay on the pass that first fit them
-        alone, _, _ = integrate(single(np.cos), 1, 1, 1e-12, 10000)
+        alone, _, _ = integrate(single(np.cos), 1, 1, 1e-12)
         assert values[0] == alone[0]
 
     def test_blocks_split_items(self, monkeypatch):
@@ -83,7 +97,7 @@ class TestIntegrate:
             blocks.append(items.size)
             return np.cos(freqs[items, None, None] * t)
 
-        values, _, _ = integrate(batched, freqs.size, 4, 1e-10, 100)
+        values, _, _ = integrate(batched, freqs.size, 4, 1e-10)
         assert blocks == [2, 2, 2, 1]
         np.testing.assert_allclose(values, np.sinc(freqs / math.pi), rtol=0.0, atol=1e-10)
 
@@ -197,7 +211,6 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-10
-        assert spec.max_subdivisions == 65536
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -205,7 +218,6 @@ class TestQuadratureSpec:
             {"abs_tol": 0.0},
             {"abs_tol": -1e-10},
             {"abs_tol": math.nan},
-            {"max_subdivisions": 0},
         ],
     )
     def test_validation(self, kwargs):

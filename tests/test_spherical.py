@@ -121,15 +121,18 @@ class TestEigenvalue:
         with pytest.raises(DomainError):
             eigenvalue(SpectralParameter.principal(1.0), -1.0)
 
-    def test_budget_exhaustion_signals(self):
-        tiny = QuadratureSpec(abs_tol=1e-300, max_subdivisions=4)
-        with pytest.raises(ToleranceNotReached):
-            eigenvalue(SpectralParameter.principal(30.0), 5.0, tiny)
+    def test_budget_exhaustion_signals(self, monkeypatch):
+        # 34 initial panels fit, the refinement to 68 does not
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 67)
+        with pytest.raises(ToleranceNotReached, match="panel budget 67"):
+            eigenvalue(SpectralParameter.principal(100.0), 10.0)
 
-    def test_budget_counts_added_panels_only(self):
-        # 34 initial panels, then 68; a cap on the total count would refuse this
-        value = eigenvalue(SpectralParameter.principal(100.0), 10.0, QuadratureSpec(max_subdivisions=64))
-        assert value == pytest.approx(eigenvalue(SpectralParameter.principal(100.0), 10.0), abs=1e-10)
+    def test_budget_caps_each_pass(self, monkeypatch):
+        # 34 initial panels, then 68; the budget caps each pass, so a cap on
+        # the panels of all passes together (102) would refuse this
+        want = eigenvalue(SpectralParameter.principal(100.0), 10.0)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 68)
+        assert eigenvalue(SpectralParameter.principal(100.0), 10.0) == want
 
     def test_unreachable_tolerance_fails_before_refining(self, monkeypatch):
         passes = []
@@ -229,7 +232,7 @@ class TestPrincipalGrid:
                 _eigenvalue_batch(PRINCIPAL, np.ones(3), np.array([1.0, bad, 2.0]), DEFAULT_QUADRATURE)
 
     def test_panel_count_counts_against_budget(self):
-        with pytest.raises(ToleranceNotReached, match="initial panels"):
+        with pytest.raises(ToleranceNotReached, match="panel budget"):
             principal_grid([0.0, 1e300], 2.0)
 
 
