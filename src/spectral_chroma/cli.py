@@ -2,11 +2,10 @@
 
 Commands: eval | scan | bounds | graph | verify.  Every numeric result is
 emitted together with a provenance label ("certified-analytic",
-"numerical-scan" or "formula").  eval, scan and verify take defaults from
-built-ins, overridden by an optional key=value config file (path in
-SPECTRAL_CHROMA_CONFIG, keys QuadratureSpec's fields plus s_max, step and
-n), overridden in turn by flags; their JSON meta is the QuadratureSpec
-used.  The bounds CSV row is the fields of BoundReport and NevoComparison.
+"numerical-scan" or "formula").  Settings come from flags only; the
+environment sets nothing.  eval, scan and verify take --tol, the
+QuadratureSpec abs_tol, and their JSON meta is the QuadratureSpec used.
+The bounds CSV row is the fields of BoundReport and NevoComparison.
 A reader that closes stdout early (``| head``) is not an error.
 
 Exit codes: 0 ok, 2 usage or malformed input, 3 tolerance not reached,
@@ -19,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 from . import __version__
 from .bounds import CERTIFIED, SCANNED, BoundReport, NevoComparison, compare, hoffman_finite, read_edge_list
@@ -41,17 +40,9 @@ EXIT_TOLERANCE = 3
 EXIT_DEGENERATE = 4
 EXIT_VERIFY_FAILED = 5
 
-CONFIG_ENV_VAR = "SPECTRAL_CHROMA_CONFIG"
 VERIFY_THRESHOLD = 1e-6
 
 FORMULA = "formula"
-
-# built-in defaults of the flags that a config key of the same name may
-# set; s_max None leaves scan its own window, max(100, 40/r)
-_FLAG_DEFAULTS = {"s_max": None, "step": _GRID_STEP, "n": 2048}
-# config key -> type: QuadratureSpec's fields, then those flags
-_CONFIG_KEYS = {f.name: type(f.default) for f in fields(QuadratureSpec)}
-_CONFIG_KEYS.update(s_max=float, step=float, n=int)
 
 # CSV names of the NevoComparison fields whose name differs, after "nevo_"
 _NEVO_CSV_NAMES = {"lam": "lambda", "c_exponent": "c"}
@@ -60,49 +51,10 @@ _EXIT_CODES = {
     DomainError: EXIT_USAGE,
     PreconditionViolation: EXIT_USAGE,
     EdgeListError: EXIT_USAGE,
-    OSError: EXIT_USAGE,  # a missing or unreadable input or config file
+    OSError: EXIT_USAGE,  # graph --input names a missing or unreadable file
     EdgelessGraphError: EXIT_DEGENERATE,
     ToleranceNotReached: EXIT_TOLERANCE,
 }
-
-
-def _load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise DomainError(f"config line {line_no}: expected key=value, got {text!r}")
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise DomainError(f"config line {line_no}: unknown key {key!r}")
-            try:
-                cfg[key] = _CONFIG_KEYS[key](value)
-            except ValueError:
-                raise DomainError(f"config line {line_no}: bad value {value!r} for {key}") from None
-    return cfg
-
-
-def _configure(args) -> QuadratureSpec:
-    """Fill the command's unset flags from the config file, else the built-ins.
-
-    Returns DEFAULT_QUADRATURE with the file's quadrature keys replaced,
-    and eval's --tol, when given, over abs_tol.
-    """
-    cfg = _load_config()
-    for key in _FLAG_DEFAULTS.keys() & vars(args).keys():
-        if getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, _FLAG_DEFAULTS[key]))
-    quad = {f.name: cfg[f.name] for f in fields(QuadratureSpec) if f.name in cfg}
-    if getattr(args, "tol", None) is not None:
-        quad["abs_tol"] = args.tol
-    return replace(DEFAULT_QUADRATURE, **quad)
 
 
 def _num(value, provenance: str) -> dict:
@@ -141,7 +93,7 @@ def _parse_base(text: str) -> Point:
 
 def _cmd_eval(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
-    quad = _configure(args)
+    quad = DEFAULT_QUADRATURE if args.tol is None else QuadratureSpec(abs_tol=args.tol)
     param = _parameter(args)
     value = eigenvalue(param, args.r, quad)
     inputs = {"r": args.r}
@@ -159,7 +111,7 @@ def _cmd_eval(args) -> tuple[str, int]:
 
 def _cmd_scan(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
-    quad = _configure(args)
+    quad = DEFAULT_QUADRATURE if args.tol is None else QuadratureSpec(abs_tol=args.tol)
     summary, grid, values = _scan(args.r, args.s_max, args.step, quad)
 
     record = {
@@ -259,7 +211,7 @@ def _cmd_graph(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
-    quad = _configure(args)
+    quad = DEFAULT_QUADRATURE if args.tol is None else QuadratureSpec(abs_tol=args.tol)
     param = _parameter(args)
     base = _parse_base(args.base)
     residual = verify_eigenfunction(param, args.r, base, args.n, quad)
@@ -284,6 +236,10 @@ def _add_parameter_flags(sub: argparse.ArgumentParser):
     group.add_argument("--sigma", type=float, help="complementary parameter, |sigma| <= 1/2")
 
 
+def _add_tol_flag(sub: argparse.ArgumentParser):
+    sub.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-chroma",
@@ -295,13 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one averaging-operator eigenvalue")
     p_eval.add_argument("--r", type=float, required=True, help="circle radius, > 0")
     _add_parameter_flags(p_eval)
-    p_eval.add_argument("--tol", type=float, help="absolute quadrature tolerance")
+    _add_tol_flag(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_scan = sub.add_parser("scan", help="scan the principal series for its minimum")
     p_scan.add_argument("--r", type=float, required=True)
     p_scan.add_argument("--s-max", dest="s_max", type=float, help="scan window end (default max(100, 40/r))")
-    p_scan.add_argument("--step", type=float, help=f"grid step (default {_GRID_STEP})")
+    p_scan.add_argument("--step", type=float, default=_GRID_STEP, help="grid step (default %(default)s)")
+    _add_tol_flag(p_scan)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.set_defaults(handler=_cmd_scan)
 
@@ -320,9 +277,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check the eigenfunction identity by circle averaging")
     p_verify.add_argument("--r", type=float, required=True)
     _add_parameter_flags(p_verify)
-    p_verify.add_argument("--n", type=int, help=f"circle sample count (default {_FLAG_DEFAULTS['n']})")
+    p_verify.add_argument("--n", type=int, default=2048, help="circle sample count (default %(default)s)")
     p_verify.add_argument("--base", default="0.7,2.0", help="base point as 'x,y' (default 0.7,2.0; at i any "
                           "radial function passes); a negative x needs the form --base=-0.3,0.8")
+    _add_tol_flag(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -10,6 +10,7 @@ import pytest
 
 from spectral_chroma import cli, quadrature, spectrum
 from spectral_chroma import (
+    Point,
     QuadratureSpec,
     SpectralParameter,
     compare,
@@ -17,6 +18,8 @@ from spectral_chroma import (
     envelope,
     main_bounds,
     principal_grid,
+    scan_principal,
+    verify_eigenfunction,
 )
 from test_spectrum import node_batch_sizes
 
@@ -47,14 +50,8 @@ BOUNDS_CSV_HEADER = (
 )
 
 
-def cli_env():
-    return {k: v for k, v in os.environ.items() if k != "SPECTRAL_CHROMA_CONFIG"}
-
-
 def run_cli(*args, env_extra=None, timeout=None):
-    env = cli_env()
-    if env_extra:
-        env.update(env_extra)
+    env = {**os.environ, **(env_extra or {})}
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_chroma", *args],
         capture_output=True,
@@ -286,105 +283,62 @@ class TestVerify:
         assert run_cli("verify", "--r", "1.5", "--s", "2", "--base", "oops")[0] == 2
 
 
-class TestConfigFile:
-    def test_file_sets_tolerance(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("abs_tol = 1e-6\n")
-        _, out, _ = run_cli(
-            "eval", "--r", "2", "--s", "1", env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)}
-        )
-        rec = json.loads(out)
-        assert rec["meta"]["abs_tol"] == 1e-6
-        assert rec["results"]["value"]["value"] == eigenvalue(
-            SpectralParameter.principal(1.0), 2.0, QuadratureSpec(abs_tol=1e-6)
-        )
+class TestSettings:
+    """Settings come from flags; the environment sets nothing."""
 
-    def test_flag_overrides_file(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("abs_tol = 1e-6\n")
-        _, out, _ = run_cli(
-            "eval", "--r", "2", "--s", "1", "--tol", "1e-9",
-            env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)},
-        )
-        assert json.loads(out)["meta"]["abs_tol"] == 1e-9
+    @pytest.mark.parametrize("argv, key, api", [
+        (("eval", "--r", "2", "--s", "1"), "value",
+         lambda quad: eigenvalue(SpectralParameter.principal(1.0), 2.0, quad)),
+        (("scan", "--r", "4", "--s-max", "5", "--step", "0.5"), "m_numeric",
+         lambda quad: scan_principal(4.0, 5.0, 0.5, quad).m_numeric),
+        (("verify", "--r", "1.5", "--s", "2", "--n", "64"), "residual",
+         lambda quad: verify_eigenfunction(SpectralParameter.principal(2.0), 1.5, Point(0.7, 2.0), 64, quad)),
+    ], ids=["eval", "scan", "verify"])
+    def test_tol_reaches_the_record(self, argv, key, api):
+        code, out, _ = run_cli(*argv, "--tol", "1e-6")
+        assert code == 0
+        record = json.loads(out)
+        # the QuadratureSpec fields, and nothing else of the integrator
+        assert record["meta"].keys() - {"version", "refine_xtol"} == {"abs_tol"}
+        assert record["meta"]["abs_tol"] == 1e-6
+        assert record["results"][key]["value"] == api(QuadratureSpec(abs_tol=1e-6))
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        # the panel budget is a constant of the integrator, not a setting
-        for key in ("wibble", "max_subdivisions"):
-            cfg.write_text(f"{key} = 2\n")
-            code, _, err = run_cli(
-                "eval", "--r", "2", "--s", "1", env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)}
-            )
-            assert code == 2
-            assert key in err
-
-    def test_budget_from_file_trips_exit_3(self, tmp_path, monkeypatch, capsys):
+    def test_budget_trips_exit_3(self, monkeypatch, capsys):
         # at r = 10, s = 100 the first pass has 34 panels; abs_tol 1e-8
         # fits there, 1e-12 needs a second pass of 68
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 34)
-        cfg = tmp_path / "cfg"
-        monkeypatch.setenv("SPECTRAL_CHROMA_CONFIG", str(cfg))
-        cfg.write_text("abs_tol = 1e-8\n")
-        assert run_main(capsys, "eval", "--r", "10", "--s", "100")[0] == 0
-        cfg.write_text("abs_tol = 1e-12\n")
-        code, out, err = run_main(capsys, "eval", "--r", "10", "--s", "100")
+        assert run_main(capsys, "eval", "--r", "10", "--s", "100", "--tol", "1e-8")[0] == 0
+        code, out, err = run_main(capsys, "eval", "--r", "10", "--s", "100", "--tol", "1e-12")
         assert code == 3
         assert out == "" and "panel budget 34" in err
 
-    def test_scan_defaults_from_file(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("s_max = 5\nstep = 0.5\n")
-        _, out, _ = run_cli(
-            "scan", "--r", "4", env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)}
-        )
-        rec = json.loads(out)
-        assert rec["inputs"]["s_max"] == 5.0
-        assert rec["inputs"]["step"] == 0.5
-
-    @pytest.mark.parametrize("config, argv, section, expected", [
-        ("n = 64\n", ("verify", "--r", "1.5", "--s", "2"), "inputs", {"n": 64}),
-        ("abs_tol = 1e-8\n",
-         ("scan", "--r", "4", "--s-max", "5", "--step", "0.5"),
-         "meta", {"abs_tol": 1e-8}),
-        ("abs_tol = 1e-8\n",
-         ("verify", "--r", "1.5", "--s", "2", "--n", "64"),
-         "meta", {"abs_tol": 1e-8}),
-        ("s_max = 5\nstep = 0.5\n",
-         ("scan", "--r", "4", "--s-max", "3", "--step", "0.25"),
-         "inputs", {"s_max": 3.0, "step": 0.25}),
-        ("n = 64\n", ("verify", "--r", "1.5", "--s", "2", "--n", "32"), "inputs", {"n": 32}),
-    ], ids=["n", "quad-scan", "quad-verify", "scan-flags-win", "n-flag-wins"])
-    def test_settings_reach_the_record(self, tmp_path, config, argv, section, expected):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(config)
-        code, out, _ = run_cli(*argv, env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)})
+    @pytest.mark.parametrize("argv, expected", [
+        (("verify", "--r", "1.5", "--s", "2", "--n", "32"), {"n": 32}),
+        (("verify", "--r", "1.5", "--s", "2"), {"n": 2048}),
+        (("scan", "--r", "4", "--s-max", "3", "--step", "0.25"), {"s_max": 3.0, "step": 0.25}),
+        (("scan", "--r", "4"), {"s_max": 100.0, "step": 0.05}),
+    ], ids=["n", "n-default", "scan-flags", "scan-defaults"])
+    def test_flags_reach_the_inputs(self, argv, expected):
+        code, out, _ = run_cli(*argv)
         assert code == 0
-        record = json.loads(out)[section]
-        assert {key: record[key] for key in expected} == expected
-        if section == "meta":
-            # the QuadratureSpec fields, and nothing else of the integrator
-            assert record.keys() - {"version", "refine_xtol"} == expected.keys()
+        inputs = json.loads(out)["inputs"]
+        assert {key: inputs[key] for key in expected} == expected
 
-    @pytest.mark.parametrize("command", ["bounds", "graph"])
-    def test_bounds_and_graph_never_read_the_file(self, tmp_path, command):
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--r", "2", "--s", "1"),
+        ("scan", "--r", "4", "--s-max", "5", "--step", "0.5"),
+        ("verify", "--r", "1.5", "--s", "2", "--n", "64"),
+        ("bounds", "--r", "10"),
+    ], ids=["eval", "scan", "verify", "bounds"])
+    def test_environment_sets_nothing(self, argv, tmp_path, monkeypatch):
+        # a settings file named by the variable, malformed or missing, changes nothing
+        monkeypatch.delenv("SPECTRAL_CHROMA_CONFIG", raising=False)
         cfg = tmp_path / "cfg"
-        cfg.write_text("not a setting\n")
-        edges = tmp_path / "petersen.txt"
-        edges.write_text(PETERSEN_EDGES)
-        argv = ("bounds", "--r", "10") if command == "bounds" else ("graph", "--input", str(edges))
-        env = {"SPECTRAL_CHROMA_CONFIG": str(cfg)}
-        assert run_cli(*argv, env_extra=env)[0] == 0
-        assert run_cli("eval", "--r", "2", "--s", "1", env_extra=env)[0] == 2
-
-    def test_missing_file_is_a_usage_error(self, tmp_path):
-        code, out, err = run_cli(
-            "eval", "--r", "2", "--s", "1",
-            env_extra={"SPECTRAL_CHROMA_CONFIG": str(tmp_path / "nope")},
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        cfg.write_text("abs_tol = 1e-3\nnot a setting\n")
+        unset = run_cli(*argv)
+        assert unset[0] == 0
+        for path in (cfg, tmp_path / "nope"):
+            assert run_cli(*argv, env_extra={"SPECTRAL_CHROMA_CONFIG": str(path)}) == unset
 
 
 class TestClosedStdout:
@@ -394,7 +348,7 @@ class TestClosedStdout:
     def spawn(*args):
         # block-buffered stdout, as in a shell pipeline; unbuffered, a
         # write cut short by the closing reader can end without an error
-        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.Popen(
             [sys.executable, "-m", "spectral_chroma", *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -432,10 +386,6 @@ class TestMisc:
 class TestInProcess:
     """main(argv) in this process, for checks that count calls or time."""
 
-    @pytest.fixture(autouse=True)
-    def _no_config(self, monkeypatch):
-        monkeypatch.delenv("SPECTRAL_CHROMA_CONFIG", raising=False)
-
     def test_csv_scan_evaluates_its_grid_once(self, monkeypatch, capsys):
         grids = []
         monkeypatch.setattr(spectrum, "principal_grid", lambda *a: grids.append(a) or principal_grid(*a))
@@ -471,6 +421,21 @@ class TestInProcess:
         record = json.loads(out)
         assert record["inputs"]["base"] == "0.7,2.0"
         assert record["results"]["residual"]["value"] > 1e-4
+
+    @pytest.mark.parametrize("argv", [
+        ("--r", "1.5", "--s", "2"),
+        ("--r", "1.5", "--sigma", "0.3"),
+        pytest.param(("--r", "5", "--s", "20", "--base=-0.3,0.8"), marks=pytest.mark.xfail(
+            strict=True, reason="residual 8.5e-7 is under the absolute threshold 1e-6 (ROADMAP item 4)")),
+        pytest.param(("--r", "30", "--s", "1"), marks=pytest.mark.xfail(
+            strict=True, reason="residual 1.9e-10 is under the absolute threshold 1e-6 (ROADMAP item 4)")),
+    ], ids=["s-2", "sigma-0.3", "r-5", "r-30"])
+    def test_scaled_eigenvalues_fail_verify(self, argv, monkeypatch, capsys):
+        # phi scaled by 1 + 1e-3 is not an eigenfunction, unlike phi for
+        # another s, so verify must fail at its default n
+        batch = spectrum._eigenvalue_batch
+        monkeypatch.setattr(spectrum, "_eigenvalue_batch", lambda *a: batch(*a) * (1.0 + 1e-3))
+        assert run_main(capsys, "verify", *argv)[0] == 5
 
     def test_oversized_scan_grid_exits_2(self, capsys):
         code, out, err = run_main(capsys, "scan", "--r", "4", "--step", "1e-300")
@@ -511,12 +476,9 @@ class TestInProcess:
         ("scan", "--r", "4"),
         ("verify", "--r", "1.5", "--s", "2", "--base", "0.7,2.0"),
     ])
-    def test_unreachable_tolerance_exits_3_quickly(self, argv, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("abs_tol = 1e-30\n")
-        monkeypatch.setenv("SPECTRAL_CHROMA_CONFIG", str(cfg))
+    def test_unreachable_tolerance_exits_3_quickly(self, argv, capsys):
         start = time.perf_counter()
-        code, _, err = run_main(capsys, *argv)
+        code, _, err = run_main(capsys, *argv, "--tol", "1e-30")
         assert code == 3
         assert "budget" in err
         assert time.perf_counter() - start < 5.0

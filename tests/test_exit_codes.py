@@ -24,6 +24,10 @@ REALS = st.one_of(
     st.floats(-50.0, 50.0),
 )
 
+# absent or one of a few values: refused, unreachable, looser than the
+# default; a drawn tolerance could land in a band that needs many passes
+TOLS = st.sampled_from([None, math.nan, math.inf, -1.0, 0.0, 1e-300, 1e-6])
+
 
 @st.composite
 def argvs(draw):
@@ -32,6 +36,9 @@ def argvs(draw):
     argv = [command, f"--r={draw(REALS)!r}", f"{flag}={draw(REALS)!r}"]
     if command == "verify":
         argv += [f"--n={draw(st.integers(8, 256))}", f"--base={draw(REALS)!r},{draw(REALS)!r}"]
+    tol = draw(TOLS)
+    if tol is not None:
+        argv.append(f"--tol={tol!r}")
     return argv
 
 
@@ -43,7 +50,6 @@ def no_nan_radii(monkeypatch):
         assert not np.any(np.isnan(radii))
         return batch(kind, values, radii, quad)
 
-    monkeypatch.delenv("SPECTRAL_CHROMA_CONFIG", raising=False)
     monkeypatch.setattr(spectrum, "_eigenvalue_batch", checked)
 
 

@@ -4,7 +4,6 @@ Each test runs in a fresh interpreter, so modules imported by other tests
 cannot hide an import on the CLI's path.
 """
 
-import os
 import subprocess
 import sys
 import textwrap
@@ -34,9 +33,8 @@ for argv in argvs:
 
 
 def run_python(source: str):
-    env = {k: v for k, v in os.environ.items() if k != "SPECTRAL_CHROMA_CONFIG"}
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
