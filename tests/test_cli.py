@@ -340,6 +340,15 @@ class TestSettings:
         for path in (cfg, tmp_path / "nope"):
             assert run_cli(*argv, env_extra={"SPECTRAL_CHROMA_CONFIG": str(path)}) == unset
 
+    def test_tol_flag_wins_over_environment(self, tmp_path):
+        # a file that once set abs_tol = 1e-3 leaves --tol 1e-6 in charge
+        cfg = tmp_path / "cfg"
+        cfg.write_text("abs_tol = 1e-3\n")
+        argv = ("eval", "--r", "2", "--s", "1", "--tol", "1e-6")
+        code, out, err = run_cli(*argv, env_extra={"SPECTRAL_CHROMA_CONFIG": str(cfg)})
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meta"]["abs_tol"] == 1e-6
+
 
 class TestClosedStdout:
     """A reader that closes stdout early gets no error line and the command's own code."""
