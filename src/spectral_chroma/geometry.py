@@ -1,11 +1,10 @@
 """Upper half-plane model of the hyperbolic plane.
 
 Points, the distance formula, and an explicit parametrization of the
-circle of radius r around any center.  The distance formula and circles
-are computed elementwise over NumPy arrays, a whole circle of sample
-points from one closed form; the scalar distance and circle_point go
-through the same formulas.  Everything here is a pure function of its
-inputs and safe for concurrent use.
+circle of radius r around any center.  The distance formula is computed
+elementwise over NumPy arrays and the scalar distance goes through it;
+circle_point is one scalar closed form.  Everything here is a pure
+function of its inputs and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from .errors import DomainError
 # range up to here; beyond, squared coordinates start to drown the
 # distance formula
 MAX_CIRCLE_RADIUS = 40.0
-
-# circle angles evaluated at once; each holds about 6 temporaries, so one
-# block stays near 3 MB however many points the circle has
-_BLOCK_POINTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -81,50 +76,30 @@ def distance(p: Point, q: Point) -> float:
     return d
 
 
-def circle_coords(center: Point, r: float, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (x, y) of the points at angle parameters thetas on a circle.
+def circle_point(center: Point, r: float, theta: float) -> Point:
+    """Point at hyperbolic distance r from center, angle parameter theta.
 
-    Each point is the image of the origin i under
+    The image of the origin i under
     origin_to(center) * rotation(theta/2) * push(r), in closed form: with
     c = cos(theta/2), s = sin(theta/2) and D = exp(-r) c^2 + exp(r) s^2,
     x = x0 - y0 * 2 sinh(r) s c / D and y = y0 / D for center (x0, y0).
     theta in [0, 2*pi) sweeps the circle exactly once, and theta = 0 gives
     (x0, y0 exp(r)).  Supported radii: 0 <= r <= MAX_CIRCLE_RADIUS.  A
-    circle whose points are not representable in double precision raises
-    DomainError.  The angles are evaluated in blocks of _BLOCK_POINTS, so
-    the temporaries do not grow with the number of points.
+    point that is not representable in double precision raises
+    DomainError.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"circle radius must be a finite non-negative real, got {r}")
     if r > MAX_CIRCLE_RADIUS:
         raise DomainError(f"circle radius {r} exceeds the supported range r <= {MAX_CIRCLE_RADIUS}")
-    thetas = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(thetas)):
+    if not math.isfinite(theta):
         raise DomainError("circle angles must be finite")
-    x, y = np.empty(thetas.shape), np.empty(thetas.shape)
-    angles, x_flat, y_flat = thetas.reshape(-1), x.reshape(-1), y.reshape(-1)
-    shrink, grow, two_sinh = math.exp(-r), math.exp(r), 2.0 * math.sinh(r)
-    # elementwise, so blocks of angles give the same bits as one array
-    for start in range(0, angles.size, _BLOCK_POINTS):
-        block = slice(start, start + _BLOCK_POINTS)
-        with np.errstate(all="ignore"):
-            half = 0.5 * angles[block]
-            c, s = np.cos(half), np.sin(half)
-            # D = cosh r - sinh r cos(theta) as a sum of non-negative terms,
-            # which cannot cancel near theta = 0 at large r
-            d = shrink * c * c + grow * s * s
-            x_flat[block] = center.x - center.y * (two_sinh * s * c / d)
-            y_flat[block] = center.y / d
-        if not np.all(np.isfinite(x_flat[block]) & np.isfinite(y_flat[block]) & (y_flat[block] > 0.0)):
-            raise DomainError(
-                f"the circle of radius {r} around base ({center.x}, {center.y}) leaves double range")
-    return x, y
-
-
-def circle_point(center: Point, r: float, theta: float) -> Point:
-    """Point at hyperbolic distance r from center, angle parameter theta.
-
-    One point of circle_coords, with the same parametrization and range.
-    """
-    x, y = circle_coords(center, r, [theta])
-    return Point(float(x[0]), float(y[0]))
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    # D = cosh r - sinh r cos(theta) as a sum of non-negative terms, which
+    # cannot cancel near theta = 0 at large r
+    d = math.exp(-r) * c * c + math.exp(r) * s * s
+    x = center.x - center.y * (2.0 * math.sinh(r) * s * c / d)
+    y = center.y / d
+    if not (math.isfinite(x) and math.isfinite(y) and y > 0.0):
+        raise DomainError(f"the circle of radius {r} around base ({center.x}, {center.y}) leaves double range")
+    return Point(x, y)

@@ -3,7 +3,7 @@
 Scans the principal series for its minimum (the quantity that drives the
 independence-ratio bound), reports the certified analytic floor, and checks
 the eigenfunction identity directly by discrete circle averaging, with
-the circle evaluated as arrays by geometry's closed form.  Grid
+each circle point's distance from i given by the law of cosines.  Grid
 and refinement sub-grid evaluations are batch calls independent of each
 other; summaries are assembled by a single reducer with no shared mutable
 state.
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ORIGIN, Point, circle_coords, coord_distance
+from .geometry import ORIGIN, Point, coord_distance
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .spherical import (
     MAX_EVAL_RADIUS,
@@ -185,8 +185,16 @@ def verify_eigenfunction(
     result is compared with eigenvalue(param, r) * phi(base).  Equal angle
     steps realize the rotation-invariant measure, so this is a trapezoid
     rule on a smooth periodic integrand and the residual decays spectrally
-    in n_points.  The circle points come from one array call of
-    circle_coords and all n_points + 2 eigenvalues from one batch call.
+    in n_points.  phi needs only each point's distance d from i, given by
+    the hyperbolic law of cosines: with D = distance(base, i) and theta
+    measured at base from the geodesic towards i,
+    sinh^2(d/2) = sinh^2((r-D)/2) + sinh(r) sinh(D) sin^2(theta/2), a sum
+    that cannot cancel.  theta and -theta give the same d, so only the
+    angles 2 pi j / n_points with j <= n_points / 2 are evaluated, with
+    trapezoid weights 1, 2, ..., 2 and 1 at j = n_points / 2; their
+    n_points // 2 + 1 eigenvalues, phi(base) and eigenvalue(param, r) come
+    from one batch call.  The circle's farthest point from i, at distance
+    r + D, must lie within MAX_EVAL_RADIUS.
     """
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
@@ -194,13 +202,18 @@ def verify_eigenfunction(
         raise DomainError(f"n_points {n_points} exceeds the supported {MAX_BATCH_POINTS}")
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"verification needs r > 0, got {r}")
-
-    x, y = circle_coords(base, r, np.arange(n_points) * (2.0 * math.pi / n_points))
-    # distances to i of the circle points and of the base, then r itself
-    dist = coord_distance(np.append(x, base.x), np.append(y, base.y), ORIGIN.x, ORIGIN.y)
-    if not np.all(dist <= MAX_EVAL_RADIUS):
+    d0 = float(coord_distance(base.x, base.y, ORIGIN.x, ORIGIN.y))
+    if not r + d0 <= MAX_EVAL_RADIUS:
         raise DomainError(f"the circle of radius {r} around base ({base.x}, {base.y}) reaches distance "
-                          f"{np.max(dist)} from i, beyond the supported range r <= {MAX_EVAL_RADIUS}")
-    radii = np.append(dist, r)
+                          f"{r + d0} from i, beyond the supported range r <= {MAX_EVAL_RADIUS}")
+
+    sin_half = np.sin(np.arange(n_points // 2 + 1) * (math.pi / n_points))
+    q = np.sqrt(math.sinh(0.5 * (r - d0)) ** 2 + (math.sinh(r) * math.sinh(d0)) * (sin_half * sin_half))
+    weights = np.full(sin_half.size, 2.0)
+    weights[0] = 1.0
+    if n_points % 2 == 0:
+        weights[-1] = 1.0
+    # distances to i of the half circle's points and of the base, then r itself
+    radii = np.append(2.0 * np.arcsinh(q), (d0, r))
     lam = _eigenvalue_batch(param.kind, np.full(radii.size, param.value), radii, quad)
-    return abs(float(np.mean(lam[:n_points])) - float(lam[-2] * lam[-1]))
+    return abs(float(weights @ lam[:-2]) / n_points - float(lam[-2] * lam[-1]))

@@ -474,6 +474,18 @@ class TestInProcess:
         assert code == 0
         assert json.loads(out)["results"]["passed"] is True
 
+    def test_circle_beyond_radius_40_is_computable(self, capsys):
+        # only the circle's reach from i, r + d(base, i), limits verify's r
+        assert run_main(capsys, "verify", "--r", "45", "--s", "1", "--n", "64")[0] == 0
+
+    def test_circle_beyond_the_eigenvalue_range_names_the_base(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--r", "699.5", "--s", "1", "--base", "0.7,2.0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "base (0.7, 2.0)" in err
+        # r + d(base, i) = 699.5 + 0.838...
+        assert "reaches distance 700.338" in err
+
     def test_negative_base_x_in_equals_form(self, capsys):
         code, out, _ = run_main(capsys, "verify", "--r", "1.5", "--s", "2", "--n", "256", "--base=-0.3,0.8")
         assert code == 0

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from spectral_chroma import (
     circle_point,
     distance,
 )
-from spectral_chroma import geometry
-from spectral_chroma.geometry import circle_coords, coord_distance
+from spectral_chroma.geometry import coord_distance
 
 
 def iwasawa_action(rng):
@@ -144,10 +142,8 @@ class TestCirclePoint:
         rng = np.random.default_rng(106)
         for _ in range(25):
             center = random_point(rng)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            assert abs(distance(center, circle_point(center, r, theta)) - r) <= 1e-9
-            x, y = circle_coords(center, r, rng.uniform(0.0, 2.0 * math.pi, 64))
-            assert np.all(np.abs(coord_distance(center.x, center.y, x, y) - r) <= 1e-9)
+            for theta in rng.uniform(0.0, 2.0 * math.pi, 64):
+                assert abs(distance(center, circle_point(center, r, theta)) - r) <= 1e-9
 
     def test_coords_match_circle_point_and_map_composition(self):
         mpmath = pytest.importorskip("mpmath")
@@ -155,39 +151,18 @@ class TestCirclePoint:
         thetas = np.arange(256) * (2.0 * math.pi / 256)
         eps = np.finfo(float).eps
         for r in (1e-300, 1e-8, 0.5, 5.0, 40.0):
-            x, y = circle_coords(center, r, thetas)
             # the image of i under origin_to(center) * rotation(theta/2) * push(r);
             # cosh r - sinh r cos(theta) cancels up to 2r/ln(10), about 35 digits at
             # r = 40, so 80 digits leave 40 for the reference
             with mpmath.workdps(80):
                 R = mpmath.mpf(r)
-                for theta, xj, yj in zip(thetas, x, y):
+                for theta in thetas:
                     q = circle_point(center, r, theta)
-                    assert (q.x, q.y) == (xj, yj)
                     denom = mpmath.cosh(R) - mpmath.sinh(R) * mpmath.cos(theta)
                     ref_x = center.x - center.y * mpmath.sinh(R) * mpmath.sin(theta) / denom
                     ref_y = center.y / denom
-                    assert abs(xj - ref_x) <= 16 * eps * max(abs(ref_x), center.y), (r, theta)
-                    assert abs(yj - ref_y) <= 16 * eps * ref_y, (r, theta)
-
-    def test_blocks_give_the_same_bits(self, monkeypatch):
-        thetas = np.arange(100) * (2.0 * math.pi / 100)
-        whole = circle_coords(Point(0.7, 2.0), 1.5, thetas)
-        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 7)
-        np.testing.assert_array_equal(circle_coords(Point(0.7, 2.0), 1.5, thetas), whole)
-
-    def test_memory_is_bounded_by_blocks(self):
-        n = 10**6
-        thetas = np.arange(n) * (2.0 * math.pi / n)
-        tracemalloc.start()
-        try:
-            x, y = circle_coords(Point(0.7, 2.0), 1.5, thetas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert x.size == y.size == n
-        # the two coordinate arrays plus block temporaries (161 MB unblocked)
-        assert peak < 2 * x.nbytes + 16 * 2**20
+                    assert abs(q.x - ref_x) <= 16 * eps * max(abs(ref_x), center.y), (r, theta)
+                    assert abs(q.y - ref_y) <= 16 * eps * ref_y, (r, theta)
 
     def test_sweep_is_injective(self):
         # theta covers the circle once: 8 equally spaced angles, 8 spots
@@ -200,21 +175,20 @@ class TestCirclePoint:
         for r in (-0.1, MAX_CIRCLE_RADIUS + 1.0, math.nan):
             with pytest.raises(DomainError):
                 circle_point(ORIGIN, r, 0.0)
-            with pytest.raises(DomainError):
-                circle_coords(ORIGIN, r, np.linspace(0.0, 6.0, 8))
 
     # y overflows at the top of the first circle and underflows to 0 on the second
     @pytest.mark.parametrize("center, r", [(Point(0.0, 1e300), 40.0), (Point(0.0, 5e-324), 1.5)],
                              ids=["center0", "center1"])
     def test_rejects_circle_outside_double_range(self, center, r):
         with pytest.raises(DomainError, match=re.escape(f"base ({center.x}, {center.y})")):
-            circle_coords(center, r, np.linspace(0.0, 6.0, 8))
+            for theta in np.linspace(0.0, 6.0, 8):
+                circle_point(center, r, theta)
 
     def test_circles_near_the_ends_of_double_range(self):
         thetas = np.linspace(0.0, 6.0, 8)
         center = Point(0.0, 1e-310)
-        x, y = circle_coords(center, 1.5, thetas)
-        assert np.all(np.abs(coord_distance(center.x, center.y, x, y) - 1.5) <= 1e-9)
+        for theta in thetas:
+            assert abs(distance(center, circle_point(center, 1.5, theta)) - 1.5) <= 1e-9
         # x0 - y0 * 2 sinh(r) sin(theta/2) cos(theta/2) / D rounds to x0
-        x, y = circle_coords(Point(1e308, 1.0), 1.5, thetas)
-        assert np.all(x == 1e308) and np.all(np.isfinite(y) & (y > 0.0))
+        for theta in thetas:
+            assert circle_point(Point(1e308, 1.0), 1.5, theta).x == 1e308

@@ -1,20 +1,18 @@
 """Property test of the public geometry API over the whole double range.
 
-distance, circle_point and circle_coords either return finite values (and
-points with y > 0) or raise DomainError, for coordinates of magnitude
+distance and circle_point either return finite values (and points with
+y > 0) or raise DomainError, for coordinates of magnitude
 1e-310 to 1e308 of either sign; no other exception may escape.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from spectral_chroma import MAX_CIRCLE_RADIUS, DomainError, Point, circle_point, distance
-from spectral_chroma.geometry import circle_coords
 
 MAGNITUDES = st.builds(lambda e: 10.0 ** e, st.floats(-310.0, 308.0))
 REALS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
@@ -51,28 +49,14 @@ def test_distance(p, q):
 
 
 @FUZZ
-@given(center=POINTS, r=REALS, theta=REALS)
+@given(center=POINTS, r=st.one_of(REALS, st.floats(0.0, MAX_CIRCLE_RADIUS)), theta=REALS)
+# y overflows, x stays at x0 = 1e308, y underflows to 0
+@example(center=(0.0, 1e300), r=40.0, theta=0.0)
+@example(center=(1e308, 1.0), r=1.5, theta=1.0)
+@example(center=(0.0, 5e-324), r=1.5, theta=math.pi)
 def test_circle_point(center, r, theta):
     center = outcome(Point, *center)
     if center is None:
         return
     p = outcome(circle_point, center, r, theta)
     assert p is None or finite_point(p), (center, r, theta, p)
-
-
-@FUZZ
-@given(center=POINTS, r=st.one_of(REALS, st.floats(0.0, MAX_CIRCLE_RADIUS)),
-       thetas=st.lists(REALS, max_size=4))
-# y overflows, x stays at x0 = 1e308, y underflows to 0
-@example(center=(0.0, 1e300), r=40.0, thetas=[])
-@example(center=(1e308, 1.0), r=1.5, thetas=[1.0])
-@example(center=(0.0, 5e-324), r=1.5, thetas=[])
-def test_circle_coords(center, r, thetas):
-    center = outcome(Point, *center)
-    if center is None:
-        return
-    thetas = [0.0, math.pi, *thetas]
-    coords = outcome(circle_coords, center, r, thetas)
-    if coords is not None:
-        x, y = coords
-        assert np.all(np.isfinite(x) & np.isfinite(y) & (y > 0.0)), (center, r, thetas, x, y)

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import spectral_chroma.geometry as geometry
 import spectral_chroma.quadrature as quadrature
 import spectral_chroma.spectrum as spectrum
 from spectral_chroma import (
@@ -13,6 +12,8 @@ from spectral_chroma import (
     Point,
     QuadratureSpec,
     SpectralParameter,
+    circle_point,
+    distance,
     eigenvalue,
     envelope,
     full_range_floor,
@@ -156,23 +157,39 @@ class TestVerifyEigenfunction:
         res = verify_eigenfunction(SpectralParameter.principal(2.0), 1.5, Point(0.7, 2.0), 256)
         assert res < 1e-6
         assert len(batches) == 1
-        assert batches[0][2].size == 256 + 2
+        # half the circle, angles 0 to pi, then the base and r
+        assert batches[0][2].size == 256 // 2 + 1 + 2
 
-    def test_one_geometry_call_and_no_scalar_circle_points(self, monkeypatch):
-        circles, points = [], []
-        coords = spectrum.circle_coords
-        monkeypatch.setattr(spectrum, "circle_coords", lambda *a: circles.append(a) or coords(*a))
-        point = geometry.circle_point
-        monkeypatch.setattr(geometry, "circle_point", lambda *a: points.append(a) or point(*a))
-        monkeypatch.setattr(spectrum, "circle_point", geometry.circle_point, raising=False)
-        res = verify_eigenfunction(SpectralParameter.principal(2.0), 1.5, Point(0.7, 2.0), 2048)
-        assert res < 1e-6
-        assert len(circles) == 1
-        assert np.size(circles[0][2]) == 2048
-        assert points == []
+    @staticmethod
+    def circle_residual(param, r, base, n):
+        """The residual from the whole circle's coordinates, by circle_point and distance."""
+        radii = [distance(ORIGIN, circle_point(base, r, j * 2.0 * math.pi / n)) for j in range(n)]
+        radii = np.array(radii + [distance(base, ORIGIN), r])
+        lam = spectrum._eigenvalue_batch(param.kind, np.full(radii.size, param.value), radii,
+                                         QuadratureSpec())
+        return abs(float(np.mean(lam[:n])) - float(lam[-2] * lam[-1]))
+
+    @pytest.mark.parametrize("n", [2048, 2049])
+    def test_matches_the_mean_over_circle_points(self, n):
+        for r, base in TestIntegrandWork.CIRCLE_SITES:
+            for param in TestIntegrandWork.CIRCLE_PARAMS:
+                res = verify_eigenfunction(param, r, base, n)
+                assert abs(res - self.circle_residual(param, r, base, n)) <= 1e-15, (param, r)
+
+    @pytest.mark.parametrize("base, n", [(Point(0.0, 0.5), 8), (Point(0.0, 0.5), 9), (Point(0.0, 2.0), 8),
+                                         (Point(0.0, 2.0), 12)],
+                             ids=["below-i-8", "below-i-9", "above-i-8", "above-i-12"])
+    def test_matches_unconverged_means_over_circle_points(self, base, n):
+        # on the imaginary axis, circle_point's angles 2 pi j / n fall on the
+        # same points as verify's (all n below i, even n above it), so the
+        # two agree before the trapezoid rule has converged
+        param = SpectralParameter.principal(2.0)
+        res = verify_eigenfunction(param, 1.5, base, n)
+        assert res > 1e-8
+        assert res == pytest.approx(self.circle_residual(param, 1.5, base, n), rel=1e-12)
 
     def test_memory_is_bounded_by_node_blocks(self):
-        # the heaviest verify-circle case: 2050 radii on 5 panels, whose
+        # the heaviest verify-circle case: 1027 radii on 5 panels, whose
         # integrand values are built in blocks of _NODE_BLOCK_ELEMENTS
         p, base = SpectralParameter.principal(20.0), Point(-0.3, 0.8)
         verify_eigenfunction(p, 5.0, base, 2048)
@@ -259,7 +276,9 @@ class TestIntegrandWork:
                 finest.append(passes[0][1])
                 total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.CIRCLE_FINEST)), finest
-        assert total <= 958_000  # 953,250 on 15/31 panels; 1,568,190 on 7/15 ones
+        # 477,555 over half the circle; 953,250 over the whole circle on 15/31
+        # panels, 1,568,190 on 7/15 ones
+        assert total <= 480_000
 
     @pytest.mark.parametrize("r,bound", [(100.0, 186), (300.0, 651), (600.0, 868)])
     def test_complementary_near_one_half(self, monkeypatch, r, bound):
