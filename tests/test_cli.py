@@ -304,13 +304,14 @@ class TestSettings:
         assert record["results"][key]["value"] == api(QuadratureSpec(abs_tol=1e-6))
 
     def test_budget_trips_exit_3(self, monkeypatch, capsys):
-        # at r = 10, s = 100 the first pass has 34 panels; abs_tol 1e-8
-        # fits there, 1e-12 needs a second pass of 68
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 34)
-        assert run_main(capsys, "eval", "--r", "10", "--s", "100", "--tol", "1e-8")[0] == 0
-        code, out, err = run_main(capsys, "eval", "--r", "10", "--s", "100", "--tol", "1e-12")
+        # the complementary series is always integrated: at r = 50,
+        # sigma = 0.499 the first pass has 2 panels; abs_tol 1e-8 fits
+        # there, 1e-12 needs a second pass of 4
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+        assert run_main(capsys, "eval", "--r", "50", "--sigma", "0.499", "--tol", "1e-8")[0] == 0
+        code, out, err = run_main(capsys, "eval", "--r", "50", "--sigma", "0.499", "--tol", "1e-12")
         assert code == 3
-        assert out == "" and "panel budget 34" in err
+        assert out == "" and "panel budget 2" in err
 
     @pytest.mark.parametrize("argv, expected", [
         (("verify", "--r", "1.5", "--s", "2", "--n", "32"), {"n": 32}),
@@ -404,8 +405,9 @@ class TestInProcess:
         assert len(grids) == 1
 
     def test_csv_scan_grid_takes_the_matrix_path(self, monkeypatch, capsys):
+        # below spherical._SERIES_MIN_R, where no point takes the series
         sizes = node_batch_sizes(monkeypatch)
-        code, out, _ = run_main(capsys, "scan", "--r", "4", "--format", "csv")
+        code, out, _ = run_main(capsys, "scan", "--r", "1.5", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 2001
         # only the refinement sub-grids, one batch per level, use nodes

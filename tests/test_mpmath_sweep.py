@@ -1,5 +1,6 @@
-"""Property sweeps of the quadrature eigenvalue and grid against mpmath's Legendre function."""
+"""Property sweeps of the eigenvalue routes and grid against mpmath's Legendre function."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,14 @@ from spectral_chroma import (
     scan_principal,
 )
 import spectral_chroma.spherical as spherical
-from spectral_chroma.spherical import MAX_EVAL_RADIUS, PRINCIPAL, _eigenvalue_batch
+from spectral_chroma.spherical import (
+    MAX_EVAL_RADIUS,
+    PRINCIPAL,
+    _SERIES_MIN_R,
+    _SERIES_S_WINDOW,
+    _eigenvalue_batch,
+    _harish_chandra,
+)
 
 PARAMETERS = st.one_of(
     st.floats(0.0, 1e3).map(SpectralParameter.principal),
@@ -63,7 +71,11 @@ def legendre(param: SpectralParameter, r: float) -> float:
 @example(param=SpectralParameter.principal(100.0), r=10.0)
 @example(param=SpectralParameter.complementary(0.499), r=600.0)
 def test_eigenvalue_within_abs_tol_of_legendre(param, r):
-    assert abs(eigenvalue(param, r) - legendre(param, r)) <= DEFAULT_QUADRATURE.abs_tol
+    exact = legendre(param, r)
+    assert abs(eigenvalue(param, r) - exact) <= DEFAULT_QUADRATURE.abs_tol
+    # the integral alone, which takes every value the series cannot certify
+    with mock.patch.object(spherical, "_SERIES_MIN_R", math.inf):
+        assert abs(eigenvalue(param, r) - exact) <= DEFAULT_QUADRATURE.abs_tol
 
 
 def node_path(s, r):
@@ -82,14 +94,15 @@ GRIDS = st.one_of(
 
 
 @settings(deadline=None, max_examples=20)
-@given(r=st.floats(0.0, 40.0, exclude_min=True), start_step=GRIDS, n=st.integers(2, 3000))
-# both grids reach s = 85, where coarse panels at r = 30 agree with each other but not with the truth
-@example(r=30.0, start_step=(0.0, 0.5), n=171)
-@example(r=30.0, start_step=(50.0, 0.5), n=71)
-# the default r = 10 scan grid, whose top 209 points take a second, span-laid pass
-@example(r=10.0, start_step=(0.0, 0.05), n=2001)
-# the default r = 30 scan grid, on the fewest panels per unit of phase
-@example(r=30.0, start_step=(0.0, 0.05), n=2001)
+@given(r=st.floats(0.0, _SERIES_MIN_R, exclude_min=True, exclude_max=True), start_step=GRIDS,
+       n=st.integers(2, 3000))
+# the default scan grids below the series' radii: scan-sweep's r = 0.1 and
+# 0.5, and r just below 2, on the fewest panels per unit of phase there
+@example(r=0.1, start_step=(0.0, 0.05), n=2001)
+@example(r=0.5, start_step=(0.0, 0.05), n=2001)
+@example(r=1.99, start_step=(0.0, 0.05), n=2001)
+# a grid off s = 0, up to s = 85, on the widest panels below r = 2
+@example(r=1.99, start_step=(50.0, 0.5), n=71)
 def test_progression_grid_within_abs_tol(r, start_step, n):
     s0, step = start_step
     # at most 100 in s past s0, the span of the default scan grid for
@@ -122,7 +135,57 @@ def test_scan_refinement_stops_at_a_local_minimum(r):
             assert legendre(SpectralParameter.principal(s), r) >= summary.m_numeric - tol
 
 
-@pytest.mark.xfail(strict=True, reason="the (200 raw)^1.5 estimate lacks QUADPACK's resasc scale")
+LARGE_RADIUS_CASE = (SpectralParameter.principal(1.4705), 359.86, QuadratureSpec(abs_tol=1e-80))
+
+
 def test_estimate_bounds_error_at_large_radius():
-    param, r, quad = SpectralParameter.principal(1.4705), 359.86, QuadratureSpec(abs_tol=1e-80)
+    # the value users get, from the Harish-Chandra series
+    param, r, quad = LARGE_RADIUS_CASE
     assert abs(eigenvalue(param, r, quad) - legendre(param, r)) <= quad.abs_tol
+
+
+@pytest.mark.xfail(strict=True, reason="the (200 raw)^1.5 estimate lacks QUADPACK's resasc scale")
+def test_integral_estimate_bounds_error_at_large_radius(monkeypatch):
+    # the same input on the integral route, with the series turned away
+    monkeypatch.setattr(spherical, "_SERIES_MIN_R", math.inf)
+    param, r, quad = LARGE_RADIUS_CASE
+    assert abs(eigenvalue(param, r, quad) - legendre(param, r)) <= quad.abs_tol
+
+
+@settings(deadline=None, max_examples=50)
+@given(s=st.floats(0.0, 100.0), r=st.floats(_SERIES_MIN_R, MAX_EVAL_RADIUS))
+# s = 0, which the series leaves to the integral, s = 1e-9, whose pole
+# cancellation its bound leaves there too, the largest radius, and the
+# largest s of the sweep on the slowest-converging 2F1
+@example(s=0.0, r=20.0)
+@example(s=1e-9, r=20.0)
+@example(s=1e-9, r=700.0)
+@example(s=5.0, r=700.0)
+@example(s=100.0, r=2.0)
+def test_series_route_within_abs_tol_of_legendre(s, r):
+    param = SpectralParameter.principal(s)
+    exact = legendre(param, r)
+    assert abs(eigenvalue(param, r) - exact) <= DEFAULT_QUADRATURE.abs_tol
+    if s >= _SERIES_S_WINDOW[0]:
+        # the series' reported bound is at least its true error
+        value, bound = _harish_chandra(np.array([s]), np.float64(r))
+        assert abs(value[0] - exact) <= bound[0]
+
+
+# where the integral route lost its digits: relative errors of 6.5e-15 to
+# 64, with the sign wrong at r = 600, s = 5
+@pytest.mark.parametrize("r", [50.0, 70.0, 100.0, 120.0, 300.0, 600.0])
+@pytest.mark.parametrize("s", [0.5, 5.0, 50.0])
+def test_series_digits_at_large_radius(r, s):
+    param = SpectralParameter.principal(s)
+    exact = legendre(param, r)
+    assert abs(eigenvalue(param, r) - exact) <= 1e-12 * abs(exact)
+
+
+def test_series_at_large_s_near_the_smallest_radius():
+    # no growth in the 2F1's terms at large s, so r = 2, s = 1000 takes the
+    # series, with its bound far inside abs_tol
+    param, r = SpectralParameter.principal(1000.0), 2.0
+    assert _harish_chandra(np.array([param.value]), np.float64(r))[1][0] <= 1e-3 * DEFAULT_QUADRATURE.abs_tol
+    exact = legendre(param, r)
+    assert abs(eigenvalue(param, r) - exact) <= 1e-12 * abs(exact)

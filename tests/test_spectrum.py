@@ -6,7 +6,9 @@ import pytest
 
 import spectral_chroma.quadrature as quadrature
 import spectral_chroma.spectrum as spectrum
+import spectral_chroma.spherical as spherical
 from spectral_chroma import (
+    DEFAULT_QUADRATURE,
     ORIGIN,
     DomainError,
     Point,
@@ -69,8 +71,9 @@ class TestScanPrincipal:
         assert summary.M == 1.0
 
     def test_grid_takes_the_matrix_path(self, monkeypatch):
+        # below spherical._SERIES_MIN_R, where no point takes the series
         sizes = node_batch_sizes(monkeypatch)
-        summary = scan_principal(4.0)
+        summary = scan_principal(1.5)
         assert summary.s_max_scanned == 100.0
         # only the refinement sub-grids, one batch per level, use nodes
         assert sizes and set(sizes) == {33} and len(sizes) <= 7
@@ -235,6 +238,20 @@ def integrand_values(passes) -> int:
     return sum(items * panels for items, panels in passes) * quadrature._NODES.size
 
 
+def series_items(monkeypatch) -> list[int]:
+    """Items the Harish-Chandra series certifies at the default abs_tol, per call, recorded from here on."""
+    counts = []
+    series = spherical._harish_chandra
+
+    def spy(s, r):
+        values, bounds = series(s, r)
+        counts.append(int(np.count_nonzero(bounds <= DEFAULT_QUADRATURE.abs_tol)))
+        return values, bounds
+
+    monkeypatch.setattr(spherical, "_harish_chandra", spy)
+    return counts
+
+
 class TestIntegrandWork:
     """Integrand work, as integrand values summed over passes, held to upper bounds.
 
@@ -243,18 +260,20 @@ class TestIntegrandWork:
     timing; counting values rather than panels keeps the bounds comparable
     across rules.  The finest passes are bounded by their recorded figures
     and the totals with about 0.5% room, since the items a second pass
-    refines sit near abs_tol and rounding may move a few of them.
+    refines sit near abs_tol and rounding may move a few of them.  The
+    items the Harish-Chandra series takes are counted exactly: their
+    bounds lie orders of magnitude below abs_tol.
     """
 
     SWEEP_RADII = [0.1, 0.5, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0]
-    SWEEP_FINEST = [14, 8, 16, 22, 29, 68, 84, 96, 118]
+    SWEEP_FINEST = [14, 8, 1, 1, 1, 1, 1, 1, 1]
     CIRCLE_SITES = [(1.5, Point(0.7, 2.0)), (5.0, Point(-0.3, 0.8))]
     CIRCLE_PARAMS = [SpectralParameter.principal(0.5), SpectralParameter.principal(2.0),
                      SpectralParameter.principal(20.0), SpectralParameter.complementary(0.3)]
-    CIRCLE_FINEST = [1, 1, 4, 1, 1, 1, 5, 1]
+    CIRCLE_FINEST = [1, 1, 3, 1, 1, 1, 2, 1]
 
     def test_default_scans(self, monkeypatch):
-        passes = refine_passes(monkeypatch)
+        passes, series = refine_passes(monkeypatch), series_items(monkeypatch)
         finest, total = [], 0
         for r in self.SWEEP_RADII:
             passes.clear()
@@ -262,23 +281,35 @@ class TestIntegrandWork:
             finest.append(max(panels for _, panels in passes))
             total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.SWEEP_FINEST)), finest
-        assert total <= 24_090_000  # 23,969,572 on 15/31 panels; 38,250,075 on 7/15 ones
+        # 3,990,382 on 15/31 panels: 3,486,756 and 503,409 at r = 0.1 and
+        # 0.5, and one panel for s = 0 at each radius from 2 on; 23,969,572
+        # before the series, 38,250,075 on 7/15 panels
+        assert total <= 4_010_000
+        # from r = 2 on, the grid's 2,000 points with s > 0 and seven
+        # refinement sub-grids of 33 points at each of seven radii
+        assert sum(series) == 7 * (2000 + 7 * 33)
 
     def test_circle_verification(self, monkeypatch):
-        passes = refine_passes(monkeypatch)
+        passes, series = refine_passes(monkeypatch), series_items(monkeypatch)
         finest, total = [], 0
         for r, base in self.CIRCLE_SITES:
             for param in self.CIRCLE_PARAMS:
                 passes.clear()
                 verify_eigenfunction(param, r, base, 2048)
-                # every case is accepted on its first pass
+                # every case integrates what the series leaves in one batch,
+                # accepted on its first pass: at r = 5 on the principal
+                # series only the base, at distance 0.40 from i, below
+                # spherical._SERIES_MIN_R
                 assert len(passes) == 1, (param, r, passes)
                 finest.append(passes[0][1])
                 total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.CIRCLE_FINEST)), finest
-        # 477,555 over half the circle; 953,250 over the whole circle on 15/31
-        # panels, 1,568,190 on 7/15 ones
-        assert total <= 480_000
+        # 157,108 with the series; 477,555 over half the circle before it;
+        # 953,250 over the whole circle on 15/31 panels, 1,568,190 on 7/15 ones
+        assert total <= 157_900
+        # the 425 circle points at distance 2 or more from i at r = 1.5, and
+        # at r = 5 all 1,025 and r itself, for each principal parameter
+        assert sum(series) == 3 * (425 + 1026)
 
     @pytest.mark.parametrize("r,bound", [(100.0, 186), (300.0, 651), (600.0, 868)])
     def test_complementary_near_one_half(self, monkeypatch, r, bound):

@@ -17,12 +17,15 @@ from spectral_chroma import (
     log_envelope,
     principal_grid,
 )
-from spectral_chroma import quadrature
+from spectral_chroma import quadrature, spherical
 from spectral_chroma.spherical import (
     COMPLEMENTARY,
     PRINCIPAL,
+    _SERIES_MIN_R,
+    _c_angle,
     _eigenvalue_batch,
     _eigenvalue_ode_batch,
+    _harish_chandra,
     _smooth_weight,
 )
 
@@ -122,17 +125,18 @@ class TestEigenvalue:
             eigenvalue(SpectralParameter.principal(1.0), -1.0)
 
     def test_budget_exhaustion_signals(self, monkeypatch):
-        # 34 initial panels fit, the refinement to 68 does not
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 67)
-        with pytest.raises(ToleranceNotReached, match="panel budget 67"):
-            eigenvalue(SpectralParameter.principal(100.0), 10.0)
+        # on the complementary series, always integrated, at r = 100:
+        # 2 initial panels fit, the refinement to 4 does not
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+        with pytest.raises(ToleranceNotReached, match="panel budget 3"):
+            eigenvalue(SpectralParameter.complementary(0.499), 100.0)
 
     def test_budget_caps_each_pass(self, monkeypatch):
-        # 34 initial panels, then 68; the budget caps each pass, so a cap on
-        # the panels of all passes together (102) would refuse this
-        want = eigenvalue(SpectralParameter.principal(100.0), 10.0)
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 68)
-        assert eigenvalue(SpectralParameter.principal(100.0), 10.0) == want
+        # 2 initial panels, then 4; the budget caps each pass, so a cap on
+        # the panels of all passes together (6) would refuse this
+        want = eigenvalue(SpectralParameter.complementary(0.499), 100.0)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+        assert eigenvalue(SpectralParameter.complementary(0.499), 100.0) == want
 
     def test_unreachable_tolerance_fails_before_refining(self, monkeypatch):
         passes = []
@@ -234,6 +238,53 @@ class TestPrincipalGrid:
     def test_panel_count_counts_against_budget(self):
         with pytest.raises(ToleranceNotReached, match="panel budget"):
             principal_grid([0.0, 1e300], 2.0)
+
+
+class TestHarishChandra:
+    @pytest.mark.parametrize("s", [1e-150, 1e-9, 1e-3, 0.5, 1.4705, 15.9, 16.0, 100.0, 1e6])
+    def test_c_function_matches_mpmath(self, s):
+        # c(s) = Gamma(is) / (sqrt(pi) Gamma(1/2 + is)): its angle from
+        # _c_angle, its modulus from |c|^2 = coth(pi s) / (pi s)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            c = mpmath.gamma(1j * mpmath.mpf(s)) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(0.5 + 1j * mpmath.mpf(s)))
+            angle, modulus = float(mpmath.arg(c)), float(abs(c))
+        eps = np.finfo(float).eps
+        assert abs(math.remainder(float(_c_angle(np.array([s]))[0]) - angle, 2.0 * math.pi)) <= 4.0 * eps
+        assert abs(1.0 / math.sqrt(math.pi * s * math.tanh(math.pi * s)) - modulus) <= 4.0 * eps * modulus
+
+    def test_agrees_with_integral_and_ode(self, monkeypatch):
+        rng = np.random.default_rng(203)
+        s, r = rng.uniform(0.0, 50.0, 25), rng.uniform(_SERIES_MIN_R, 30.0, 25)
+        tol = DEFAULT_QUADRATURE.abs_tol
+        assert np.all(_harish_chandra(s, r)[1] <= tol)
+        series = _eigenvalue_batch(PRINCIPAL, s, r, DEFAULT_QUADRATURE)
+        ode = _eigenvalue_ode_batch([SpectralParameter.principal(x) for x in s], r)
+        monkeypatch.setattr(spherical, "_SERIES_MIN_R", math.inf)
+        integral = _eigenvalue_batch(PRINCIPAL, s, r, DEFAULT_QUADRATURE)
+        assert np.max(np.abs(series - integral)) <= 2.0 * tol
+        assert np.max(np.abs(series - ode)) <= 1e-8
+
+    @pytest.mark.parametrize("r", [2.0, 4.0, 10.0, 30.0, 359.86, 700.0])
+    def test_grid_point_equals_point_alone(self, r):
+        s = np.arange(2001) * 0.05
+        grid = principal_grid(s, r)
+        for k in [1, 2, 3, 500, 1999, 2000]:
+            assert grid[k] == eigenvalue(SpectralParameter.principal(s[k]), r), s[k]
+
+    def test_item_equals_item_alone_at_per_item_radii(self):
+        rng = np.random.default_rng(204)
+        s, r = rng.uniform(1e-3, 100.0, 33), rng.uniform(_SERIES_MIN_R, 700.0, 33)
+        batch = _eigenvalue_batch(PRINCIPAL, s, r, DEFAULT_QUADRATURE)
+        for x, radius, got in zip(s, r, batch):
+            assert got == eigenvalue(SpectralParameter.principal(x), radius)
+
+    def test_unreachable_tolerance_falls_back(self):
+        # at r = 4 and abs_tol 1e-20 the series' bound is above abs_tol, so
+        # the item goes to the integral, whose round-off floor refuses it
+        assert _harish_chandra(np.array([1.0]), np.float64(4.0))[1][0] > 1e-20
+        with pytest.raises(ToleranceNotReached, match="round-off"):
+            eigenvalue(SpectralParameter.principal(1.0), 4.0, QuadratureSpec(abs_tol=1e-20))
 
 
 class TestSmoothWeight:
