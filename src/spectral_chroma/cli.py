@@ -112,7 +112,8 @@ def _cmd_eval(args) -> tuple[str, int]:
 def _cmd_scan(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
     quad = DEFAULT_QUADRATURE if args.tol is None else QuadratureSpec(abs_tol=args.tol)
-    summary, grid, values = _scan(args.r, args.s_max, args.step, quad)
+    # the CSV rows are the whole grid, so the CSV scan evaluates all of it once
+    summary, grid, values = _scan(args.r, args.s_max, args.step, quad, whole_grid=args.format == "csv")
 
     record = {
         "command": "scan",

@@ -1,7 +1,9 @@
 """Numerical-range data of the circle-averaging operator.
 
 Scans the principal series for its minimum (the quantity that drives the
-independence-ratio bound), reports the certified analytic floor, and checks
+independence-ratio bound), evaluating only the grid points that the
+Harish-Chandra decay bound |phi_s(r)| <= 2 |c(s)| exp(-r/2) / (1 - exp(-2r))
+cannot rule out, reports the certified analytic floor, and checks
 the eigenfunction identity directly by discrete circle averaging, with
 each circle point's distance from i given by the law of cosines.  Grid
 and refinement sub-grid evaluations are batch calls independent of each
@@ -19,11 +21,12 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ORIGIN, Point, coord_distance
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
+from .quadrature import _EPS, DEFAULT_QUADRATURE, QuadratureSpec
 from .spherical import (
     MAX_EVAL_RADIUS,
     PRINCIPAL,
     SpectralParameter,
+    _decay_bound,
     _eigenvalue_batch,
     envelope,
     principal_grid,
@@ -41,6 +44,15 @@ _REFINE_POINTS = 33
 # default scan grid step in s
 _GRID_STEP = 0.05
 
+# outward factor on spherical._decay_bound for the rounding of its own
+# arithmetic.  Its exp, tanh and expm1 are taken as within 4 ulps each
+# (NumPy's vectorized loops included), its products, quotients and square
+# root within half an ulp, and the square root halves its argument's
+# error; together under 13 eps, and the cut's own product and sum add 2
+# eps.  The bound itself is nearly tight (against mpmath, |phi| / bound
+# reads up to 0.9999992), so it has no slack of its own to absorb them.
+_DECAY_ROUNDING = 64.0 * _EPS
+
 #: scan grids and circle samples beyond this many points are rejected
 #: before anything is allocated
 MAX_BATCH_POINTS = 1_000_000
@@ -54,10 +66,11 @@ class SpectrumSummary:
     function is an eigenfunction with eigenvalue 1, while the plane itself
     has sup strictly below 1; the bound pipeline uses the quotient value.
     m_numeric is the scanned (uncertified) minimum; m_analytic the
-    certified floor -(r+1)exp(-r/2).  grid and grid_values are the
-    scanned grid and its eigenvalues (None when degenerate); they are
-    computed on first read and then kept, so a summary whose grid is never
-    read holds no array.
+    certified floor -(r+1)exp(-r/2).  grid and grid_values are the whole
+    scan grid and its eigenvalues (None when degenerate), including the
+    points the scan ruled out without evaluating them; they are computed on
+    first read and then kept, so a summary whose grid is never read holds
+    no array.
     """
 
     r: float
@@ -96,6 +109,18 @@ def scan_principal(
 ) -> SpectrumSummary:
     """Scan the principal series on [0, s_max] and refine the minimum.
 
+    One grid point near s = 4/r, the probe, is evaluated first.  When its
+    value is negative, the Harish-Chandra decay bound on |phi_s(r)|, which
+    shrinks as s grows, rules out every grid point past the first one
+    where the bound, with a margin for rounding and for abs_tol on each
+    value, lies below minus the probe's value; the grid is evaluated up to
+    that point only.  No point ruled out could have read
+    below the minimum of those kept.  From r = 2 on, where the series
+    evaluates each point on its own, the result is bit for bit that of
+    the whole grid whenever the series takes every point ruled out, as it
+    does at the default abs_tol; below r = 2, fewer points share fewer
+    panels, and grid values may move within abs_tol.
+
     The grid minimum is refined inside its bracketing cell by batched
     sub-grids, each laid over the neighbours of the lowest point so far,
     for a level count fixed in advance that takes the bracket to
@@ -106,12 +131,15 @@ def scan_principal(
     return _scan(r, s_max, grid_step, quad)[0]
 
 
-def _scan(r: float, s_max: float | None, grid_step: float,
-          quad: QuadratureSpec) -> tuple[SpectrumSummary, np.ndarray | None, np.ndarray | None]:
-    """scan_principal's summary, with the grid and eigenvalues it scanned.
+def _scan(r: float, s_max: float | None, grid_step: float, quad: QuadratureSpec,
+          whole_grid: bool = False) -> tuple[SpectrumSummary, np.ndarray | None, np.ndarray | None]:
+    """scan_principal's summary, with the grid points it evaluated and their eigenvalues.
 
-    The grid and values are None when the scan is degenerate.  The CSV scan
-    prints them, so it evaluates its grid once.
+    Only the leading grid points that the decay bound cannot rule out are
+    evaluated (_undecided_points); with whole_grid, every point is, and the
+    minimum is reduced over all of them.  The CSV scan prints every row, so
+    it asks for the whole grid and evaluates it once.  The points and values
+    are None when the scan is degenerate.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"scan needs r > 0, got {r}")
@@ -138,6 +166,8 @@ def _scan(r: float, s_max: float | None, grid_step: float,
         ), None, None
 
     grid = _scan_grid(s_max, grid_step)
+    if not whole_grid:
+        grid = grid[:_undecided_points(grid, grid_step, r, quad)]
     values = principal_grid(grid, r, quad)
     i = int(np.argmin(values))
     argmin_s, m_numeric = float(grid[i]), float(values[i])
@@ -158,6 +188,39 @@ def _scan(r: float, s_max: float | None, grid_step: float,
         r=r, M=1.0, m_numeric=m_numeric, m_analytic=m_analytic, argmin_s=argmin_s,
         s_max_scanned=float(s_max), grid_step=float(grid_step), _quad=quad,
     ), grid, values
+
+
+def _undecided_points(grid: np.ndarray, grid_step: float, r: float, quad: QuadratureSpec) -> int:
+    """How many leading points of a scan grid may hold its minimum, by the decay bound.
+
+    One point is evaluated first: the grid point nearest s = 4/r, where the
+    minimum lies at every radius of the default scans (s r between 3.83
+    and 4.32), or the window's last point if it ends before 4/r.  If its
+    value m is negative, the first index k >= 1 with
+    B(s_k) (1 + _DECAY_ROUNDING) + 3 abs_tol < -m, where B is
+    spherical._decay_bound's bound on |phi_s(r)|, cuts the grid: B
+    decreases in s, so no point past k can hold the grid minimum.  The
+    points up to k, k included, are kept, so the minimum keeps both
+    neighbours of its bracket.  Without a negative m or such a k the whole
+    grid is kept.
+    """
+    # the probe index, found without dividing by r * step, which may underflow
+    last = grid.size - 1
+    probe = last if r * float(grid[-1]) <= 4.0 else min(round(4.0 / r / grid_step), last)
+    m = float(principal_grid(grid[probe:probe + 1], r, quad)[0])
+    if m >= 0.0:
+        return grid.size
+    # The margin.  Each evaluated value is within abs_tol of the truth: the
+    # probe's m, each kept point's value and the value a pruned point would
+    # have had.  A pruned point j > k would so read at least
+    # -B(s_j) - abs_tol >= -B(s_k) - abs_tol > m + 2 abs_tol, and the kept
+    # value at the probe's s reads at most m + 2 abs_tol.  The probe is
+    # kept, as B(s) + abs_tol >= -m at its own s, and so is point k, which
+    # cannot be the minimum either.  No pruned point can undercut the kept
+    # minimum or tie with it.
+    ruled_out = np.flatnonzero(_decay_bound(grid[1:], r)[1] * (1.0 + _DECAY_ROUNDING)
+                               + 3.0 * quad.abs_tol < -m)
+    return grid.size if ruled_out.size == 0 else int(ruled_out[0]) + 2
 
 
 def full_range_floor(r: float) -> float:

@@ -251,9 +251,9 @@ def _harish_chandra(s: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     is carried exactly, as its rounding plus the rounding error
     (_two_product), so no digit of the phase is lost.
 
-    The bound is 2 |c(s)| exp(-r/2) / (1 - q) times _SERIES_ROUNDING eps,
-    for the rounding of the terms, their sum, c(s) and the phase, plus
-    q^n for the terms left out.
+    The bound is _decay_bound's 2 |c(s)| exp(-r/2) / (1 - q) times
+    _SERIES_ROUNDING eps, for the rounding of the terms, their sum, c(s)
+    and the phase, plus q^n for the terms left out.
     """
     terms = np.maximum(2.0, np.ceil(_SERIES_DECAY / r))
     # the term ratios, one row per k, as q (k + 1/2) / (k + 1) times
@@ -274,10 +274,27 @@ def _harish_chandra(s: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     turn = _c_angle(s) + phase_error
     cos, sin = np.cos(turn), np.sin(turn)
     g_re, g_im = cos * f_re - sin * f_im, sin * f_re + cos * f_im
-    scale = 2.0 * np.exp(-0.5 * r) / np.sqrt(np.pi * s * np.tanh(np.pi * s))
+    scale, decay = _decay_bound(s, r)
     values = scale * (np.cos(phase) * g_re - np.sin(phase) * g_im)
-    bounds = scale * (_SERIES_ROUNDING * _EPS + np.exp(-2.0 * r * terms)) / (1.0 - np.exp(-2.0 * r))
+    bounds = decay * (_SERIES_ROUNDING * _EPS + np.exp(-2.0 * r * terms))
     return values, bounds
+
+
+def _decay_bound(s, r):
+    """2 |c(s)| exp(-r/2), and the bound 2 |c(s)| exp(-r/2) / (1 - exp(-2r)) on |phi_s(r)|, elementwise.
+
+    |c(s)|^2 = coth(pi s) / (pi s).  The bound holds for every s > 0 and
+    r > 0, since the Harish-Chandra series' 2F1 is below 1 / (1 - exp(-2r))
+    in modulus (_harish_chandra), and it decreases in s.  s must be
+    positive; above 1e300, where pi s would overflow, s is taken as 1e300,
+    whose bound is larger.  1 - exp(-2r) is taken as -expm1(-2r), which
+    keeps its digits at small r and is positive for every r > 0; where the
+    quotient overflows, as at subnormal r, the bound is inf.
+    """
+    s = np.minimum(s, 1e300)
+    scale = 2.0 * np.exp(-0.5 * r) / np.sqrt(np.pi * s * np.tanh(np.pi * s))
+    with np.errstate(over="ignore"):
+        return scale, scale / -np.expm1(-2.0 * r)
 
 
 def _c_angle(s: np.ndarray) -> np.ndarray:

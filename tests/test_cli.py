@@ -413,6 +413,29 @@ class TestInProcess:
         # only the refinement sub-grids, one batch per level, use nodes
         assert sizes and set(sizes) == {33} and len(sizes) <= 7
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_at_the_smallest_radius(self, capsys):
+        # every value reads 1, which no decay bound can rule out, so the
+        # minimum is the first grid point, as in the whole-grid CSV scan
+        argv = ("scan", "--r", "5e-324", "--s-max", "1", "--step", "1e-4")
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        record = json.loads(out)
+        assert record["results"]["m_numeric"]["value"] == 1.0
+        assert record["results"]["argmin_s"]["value"] == 0.0
+        code, csv, _ = run_main(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert json.loads(csv.splitlines()[0][2:]) == record
+
+    @pytest.mark.parametrize("r", ["4", "10"])
+    def test_json_and_csv_scans_agree(self, r, capsys):
+        # bit for bit from r = 2 on, where the series is elementwise
+        code, out, _ = run_main(capsys, "scan", "--r", r)
+        assert code == 0
+        code, csv, _ = run_main(capsys, "scan", "--r", r, "--format", "csv")
+        assert code == 0
+        assert json.loads(csv.splitlines()[0][2:]) == json.loads(out)
+
     def test_initial_panel_budget_exits_3(self, capsys):
         code, out, err = run_main(capsys, "eval", "--r", "2", "--s", "1e300")
         assert code == 3
@@ -495,6 +518,7 @@ class TestInProcess:
         assert record["inputs"]["base"] == "-0.3,0.8"
         assert record["results"]["passed"] is True
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ("scan", "--r", "4"),
         ("verify", "--r", "1.5", "--s", "2", "--base", "0.7,2.0"),

@@ -19,11 +19,13 @@ from spectral_chroma import (
     scan_principal,
 )
 import spectral_chroma.spherical as spherical
+from spectral_chroma.spectrum import _scan
 from spectral_chroma.spherical import (
     MAX_EVAL_RADIUS,
     PRINCIPAL,
     _SERIES_MIN_R,
     _SERIES_S_WINDOW,
+    _decay_bound,
     _eigenvalue_batch,
     _harish_chandra,
 )
@@ -133,6 +135,40 @@ def test_scan_refinement_stops_at_a_local_minimum(r):
     for delta in (1e-3, 2e-2):
         for s in (max(summary.argmin_s - delta, 0.0), summary.argmin_s + delta):
             assert legendre(SpectralParameter.principal(s), r) >= summary.m_numeric - tol
+
+
+@settings(deadline=None, max_examples=40)
+@given(s=st.floats(1e-3, 300.0), r=st.floats(1e-3, 60.0))
+@example(s=1e-3, r=1e-3)
+@example(s=0.05, r=40.0)
+@example(s=222.0, r=0.1)
+def test_decay_bound_holds(s, r):
+    # the bound the scan prunes by: it must not under-read the true value
+    assert abs(legendre(SpectralParameter.principal(s), r)) <= _decay_bound(s, r)[1]
+
+
+@settings(deadline=None, max_examples=30)
+@given(r=st.floats(0.0, 40.0, exclude_min=True), s_max=st.floats(1.0, 120.0), step=st.floats(0.01, 1.0))
+# default scans where the kept prefix ends one point past the minimum's
+# bracket (r = 10, 20 and 40), the two default scans below the series'
+# radii, and a window that ends before 4/r, the probe's place
+@example(r=10.0, s_max=None, step=0.05)
+@example(r=20.0, s_max=None, step=0.05)
+@example(r=40.0, s_max=None, step=0.05)
+@example(r=0.1, s_max=None, step=0.05)
+@example(r=0.5, s_max=None, step=0.05)
+@example(r=2.0, s_max=1.0, step=0.05)
+def test_pruned_scan_matches_the_whole_grid(r, s_max, step):
+    pruned = scan_principal(r, s_max, step)
+    # the CSV scan's reduction over every grid point
+    whole = _scan(r, s_max, step, DEFAULT_QUADRATURE, whole_grid=True)[0]
+    if r >= _SERIES_MIN_R:
+        # the series is elementwise, so the kept points read as they do in the whole grid
+        assert (pruned.m_numeric, pruned.argmin_s) == (whole.m_numeric, whole.argmin_s)
+    else:
+        # fewer points share fewer panels, so values may move within abs_tol
+        exact = legendre(SpectralParameter.principal(pruned.argmin_s), r)
+        assert abs(pruned.m_numeric - exact) <= DEFAULT_QUADRATURE.abs_tol
 
 
 LARGE_RADIUS_CASE = (SpectralParameter.principal(1.4705), 359.86, QuadratureSpec(abs_tol=1e-80))

@@ -75,8 +75,9 @@ class TestScanPrincipal:
         sizes = node_batch_sizes(monkeypatch)
         summary = scan_principal(1.5)
         assert summary.s_max_scanned == 100.0
-        # only the refinement sub-grids, one batch per level, use nodes
-        assert sizes and set(sizes) == {33} and len(sizes) <= 7
+        # only the probe near s = 4/r, a batch of one, and the refinement
+        # sub-grids, one batch per level, use nodes
+        assert sizes[0] == 1 and set(sizes[1:]) == {33} and len(sizes) <= 1 + 7
 
     def test_default_window(self):
         summary = scan_principal(0.5, s_max=None, grid_step=2.0)
@@ -91,12 +92,19 @@ class TestScanPrincipal:
 
     def test_grid_is_computed_on_first_read(self):
         # the summary holds no array until its grid is read, and then the
-        # scanned values, under the scan's own quadrature settings
+        # whole grid and its values, under the scan's own quadrature
+        # settings; the scan itself evaluated a prefix of it, the same bit
+        # for bit at r >= 2
         quad = QuadratureSpec(abs_tol=1e-12)
         summary, grid, values = spectrum._scan(4.0, 5.0, 0.5, quad)
         assert not any(isinstance(v, np.ndarray) for v in vars(summary).values())
-        np.testing.assert_array_equal(summary.grid, grid)
-        np.testing.assert_array_equal(summary.grid_values, values)
+        np.testing.assert_array_equal(summary.grid, np.arange(0.0, 5.25, 0.5))
+        assert 2 <= grid.size < summary.grid.size
+        np.testing.assert_array_equal(summary.grid[:grid.size], grid)
+        np.testing.assert_array_equal(summary.grid_values[:grid.size], values)
+        whole = spectrum._scan(4.0, 5.0, 0.5, quad, whole_grid=True)
+        np.testing.assert_array_equal(summary.grid, whole[1])
+        np.testing.assert_array_equal(summary.grid_values, whole[2])
         assert summary.grid_values is summary.grid_values
         assert spectrum._scan(80.0, None, 0.05, quad)[1:] == (None, None)
 
@@ -266,7 +274,7 @@ class TestIntegrandWork:
     """
 
     SWEEP_RADII = [0.1, 0.5, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0]
-    SWEEP_FINEST = [14, 8, 1, 1, 1, 1, 1, 1, 1]
+    SWEEP_FINEST = [8, 1, 1, 1, 1, 1, 1, 1, 1]
     CIRCLE_SITES = [(1.5, Point(0.7, 2.0)), (5.0, Point(-0.3, 0.8))]
     CIRCLE_PARAMS = [SpectralParameter.principal(0.5), SpectralParameter.principal(2.0),
                      SpectralParameter.principal(20.0), SpectralParameter.complementary(0.3)]
@@ -281,13 +289,16 @@ class TestIntegrandWork:
             finest.append(max(panels for _, panels in passes))
             total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.SWEEP_FINEST)), finest
-        # 3,990,382 on 15/31 panels: 3,486,756 and 503,409 at r = 0.1 and
-        # 0.5, and one panel for s = 0 at each radius from 2 on; 23,969,572
-        # before the series, 38,250,075 on 7/15 panels
-        assert total <= 4_010_000
-        # from r = 2 on, the grid's 2,000 points with s > 0 and seven
-        # refinement sub-grids of 33 points at each of seven radii
-        assert sum(series) == 7 * (2000 + 7 * 33)
+        # 1,134,600 on 15/31 panels, on the grid points the decay bound
+        # cannot rule out: 1,119,224 and 15,159 at r = 0.1 and 0.5, and one
+        # panel for s = 0 at each radius from 2 on; 3,990,382 on the whole
+        # grids, 23,969,572 before the series, 38,250,075 on 7/15 panels
+        assert total <= 1_140_000
+        # from r = 2 on, the probe, the 41 to 4 kept grid points with s > 0
+        # (42, 22, 14, 10, 8, 6 and 5 kept, s = 0 included) and seven
+        # refinement sub-grids of 33 points at each of seven radii;
+        # 7 * (2000 + 7 * 33) = 15,617 on the whole grids
+        assert sum(series) == 7 * (1 + 7 * 33) + (41 + 21 + 13 + 9 + 7 + 5 + 4)
 
     def test_circle_verification(self, monkeypatch):
         passes, series = refine_passes(monkeypatch), series_items(monkeypatch)

@@ -23,6 +23,7 @@ from spectral_chroma.spherical import (
     PRINCIPAL,
     _SERIES_MIN_R,
     _c_angle,
+    _decay_bound,
     _eigenvalue_batch,
     _eigenvalue_ode_batch,
     _harish_chandra,
@@ -285,6 +286,20 @@ class TestHarishChandra:
         assert _harish_chandra(np.array([1.0]), np.float64(4.0))[1][0] > 1e-20
         with pytest.raises(ToleranceNotReached, match="round-off"):
             eigenvalue(SpectralParameter.principal(1.0), 4.0, QuadratureSpec(abs_tol=1e-20))
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_decay_bound_at_the_ends(self):
+        # past double range the bound reads inf, which rules out nothing,
+        # with no overflow or divide warning; above s = 1e300 it is the
+        # bound at 1e300, larger than the true one and finite
+        s = np.array([1e-6, 1e-4, 1.0, 1e300, 1.7976931348623157e308])
+        for r in (5e-324, 1e-310, 1e-3, 4.0, 700.0):
+            scale, bound = _decay_bound(s, r)
+            assert np.all(bound > 0.0) and np.all(bound[:-1] >= bound[1:]), r
+            assert np.all(np.isfinite(scale)), r
+        assert np.all(np.isinf(_decay_bound(s[:3], 5e-324)[1]))
+        assert _decay_bound(s[-1], 1e-3)[1] == _decay_bound(s[-2], 1e-3)[1]
 
 
 class TestSmoothWeight:
