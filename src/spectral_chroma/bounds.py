@@ -177,8 +177,9 @@ def main_bounds(r: float, summary: SpectrumSummary | None = None) -> BoundReport
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"bounds need r > 0, got {r}")
     env = envelope(r)
-    if env == 0.0:
-        raise DomainError(f"envelope underflows to zero at r = {r}; use log_envelope")
+    chi_lower = 1.0 / env if env > 0.0 else math.inf
+    if not math.isfinite(chi_lower):
+        raise DomainError(f"1/envelope overflows at r = {r}, beyond about r = 1434.1; use log_envelope")
     if summary is None:
         m_used, provenance = -env, CERTIFIED
     elif summary.r != r:
@@ -187,17 +188,15 @@ def main_bounds(r: float, summary: SpectrumSummary | None = None) -> BoundReport
         m_used, provenance = summary.m_numeric, SCANNED
 
     operator = hoffman_operator(HoffmanInputs(M=1.0, m=m_used, R=1.0, epsilon=0.0))
-    relaxed = env
-    chi_lower = 1.0 / relaxed
     return BoundReport(
         r=r,
         ind_ratio_exact=operator.alpha_bound,
-        ind_ratio_relaxed=relaxed,
+        ind_ratio_relaxed=env,
         chi_lower=chi_lower,
         pp_chi_upper=_pp_chi_upper(r),
         m_used=m_used,
         m_provenance=provenance,
-        ind_ratio_vacuous=relaxed > 1.0,
+        ind_ratio_vacuous=env > 1.0,
         chi_lower_vacuous=chi_lower < 1.0,
     )
 

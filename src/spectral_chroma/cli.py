@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geometry import Point
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
-from .spectrum import _GRID_STEP, REFINE_XTOL, _scan, verify_eigenfunction
+from .spectrum import _GRID_STEP, REFINE_XTOL, scan_principal, verify_eigenfunction
 from .spherical import SpectralParameter, eigenvalue, envelope
 
 EXIT_OK = 0
@@ -112,8 +112,7 @@ def _cmd_eval(args) -> tuple[str, int]:
 def _cmd_scan(args) -> tuple[str, int]:
     _require_positive("--r", args.r)
     quad = DEFAULT_QUADRATURE if args.tol is None else QuadratureSpec(abs_tol=args.tol)
-    # the CSV rows are the whole grid, so the CSV scan evaluates all of it once
-    summary, grid, values = _scan(args.r, args.s_max, args.step, quad, whole_grid=args.format == "csv")
+    summary = scan_principal(args.r, args.s_max, args.step, quad)
 
     record = {
         "command": "scan",
@@ -129,10 +128,10 @@ def _cmd_scan(args) -> tuple[str, int]:
     }
     if args.format == "json":
         return _json(record), EXIT_OK
-    # CSV: summary as a comment line, then plot-ready grid rows
+    # CSV: summary as a comment line, then plot-ready rows of the whole grid
     lines = ["# " + json.dumps(record, separators=(",", ":")), "s,value"]
     if not summary.degenerate:
-        lines += [f"{float(s)!r},{float(v)!r}" for s, v in zip(grid, values)]
+        lines += [f"{float(s)!r},{float(v)!r}" for s, v in zip(summary.grid, summary.grid_values)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 

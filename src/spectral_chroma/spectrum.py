@@ -5,7 +5,9 @@ independence-ratio bound), evaluating only the grid points that the
 Harish-Chandra decay bound |phi_s(r)| <= 2 |c(s)| exp(-r/2) / (1 - exp(-2r))
 cannot rule out, reports the certified analytic floor, and checks
 the eigenfunction identity directly by discrete circle averaging, with
-each circle point's distance from i given by the law of cosines.  Grid
+each circle point's distance from i given by the law of cosines.
+scan_principal is the only scan; the whole grid, ruled-out points
+included, is evaluated only when a summary's grid_values is read.  Grid
 and refinement sub-grid evaluations are batch calls independent of each
 other; summaries are assembled by a single reducer with no shared mutable
 state.
@@ -68,9 +70,9 @@ class SpectrumSummary:
     m_numeric is the scanned (uncertified) minimum; m_analytic the
     certified floor -(r+1)exp(-r/2).  grid and grid_values are the whole
     scan grid and its eigenvalues (None when degenerate), including the
-    points the scan ruled out without evaluating them; they are computed on
-    first read and then kept, so a summary whose grid is never read holds
-    no array.
+    points the scan ruled out without evaluating them; the CSV scan prints
+    them as its rows.  They are computed on first read and then kept, so a
+    summary whose grid is never read holds no array.
     """
 
     r: float
@@ -114,12 +116,14 @@ def scan_principal(
     shrinks as s grows, rules out every grid point past the first one
     where the bound, with a margin for rounding and for abs_tol on each
     value, lies below minus the probe's value; the grid is evaluated up to
-    that point only.  No point ruled out could have read
-    below the minimum of those kept.  From r = 2 on, where the series
+    that point only (_undecided_points).  No point ruled out could have
+    read below the minimum of those kept.  From r = 2 on, where the series
     evaluates each point on its own, the result is bit for bit that of
     the whole grid whenever the series takes every point ruled out, as it
     does at the default abs_tol; below r = 2, fewer points share fewer
-    panels, and grid values may move within abs_tol.
+    panels, and grid values may move within abs_tol.  This is the only
+    scan: the CSV scan prints the summary's whole grid and grid_values
+    beside this minimum.
 
     The grid minimum is refined inside its bracketing cell by batched
     sub-grids, each laid over the neighbours of the lowest point so far,
@@ -127,19 +131,6 @@ def scan_principal(
     REFINE_XTOL in s.  When the envelope is already below the quadrature
     noise scale the scan is skipped and the summary is flagged degenerate
     with m_numeric = 0.
-    """
-    return _scan(r, s_max, grid_step, quad)[0]
-
-
-def _scan(r: float, s_max: float | None, grid_step: float, quad: QuadratureSpec,
-          whole_grid: bool = False) -> tuple[SpectrumSummary, np.ndarray | None, np.ndarray | None]:
-    """scan_principal's summary, with the grid points it evaluated and their eigenvalues.
-
-    Only the leading grid points that the decay bound cannot rule out are
-    evaluated (_undecided_points); with whole_grid, every point is, and the
-    minimum is reduced over all of them.  The CSV scan prints every row, so
-    it asks for the whole grid and evaluates it once.  The points and values
-    are None when the scan is degenerate.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"scan needs r > 0, got {r}")
@@ -163,11 +154,10 @@ def _scan(r: float, s_max: float | None, grid_step: float, quad: QuadratureSpec,
         return SpectrumSummary(
             r=r, M=1.0, m_numeric=0.0, m_analytic=m_analytic, argmin_s=0.0,
             s_max_scanned=s_max, grid_step=grid_step, degenerate=True, _quad=quad,
-        ), None, None
+        )
 
     grid = _scan_grid(s_max, grid_step)
-    if not whole_grid:
-        grid = grid[:_undecided_points(grid, grid_step, r, quad)]
+    grid = grid[:_undecided_points(grid, grid_step, r, quad)]
     values = principal_grid(grid, r, quad)
     i = int(np.argmin(values))
     argmin_s, m_numeric = float(grid[i]), float(values[i])
@@ -187,7 +177,7 @@ def _scan(r: float, s_max: float | None, grid_step: float, quad: QuadratureSpec,
     return SpectrumSummary(
         r=r, M=1.0, m_numeric=m_numeric, m_analytic=m_analytic, argmin_s=argmin_s,
         s_max_scanned=float(s_max), grid_step=float(grid_step), _quad=quad,
-    ), grid, values
+    )
 
 
 def _undecided_points(grid: np.ndarray, grid_step: float, r: float, quad: QuadratureSpec) -> int:

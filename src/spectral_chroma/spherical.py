@@ -4,21 +4,24 @@ The rotation-invariant eigenfunctions attach to each spectral parameter an
 eigenvalue equal to the conical Legendre value P_{-1/2+is}(cosh r).  This
 module evaluates it three independent ways:
 
-* ``eigenvalue``           -- singular integral representation
-                              sqrt(2)/pi * int_0^r k(x)/sqrt(cosh r - cosh x) dx
-                              with kernel k(x) = cos(s x) on the principal
-                              series and cosh(sigma x) on the complementary
-                              series, desingularized by x = r - u^2 with
-                              u = sqrt(r) t and integrated over t in [0, 1]
-                              by the batched Gauss-Kronrod ``integrate``;
-                              principal-series values at r >= 2 come first
-                              from the Harish-Chandra series
-                              2 Re[c(s) exp((-1/2 + is) r)
-                              2F1(1/2, 1/2 - is; 1 - is; exp(-2r))]
-                              (``_harish_chandra``), and go to the integral
-                              only where its error bound misses abs_tol;
-* ``eigenvalue_ode``       -- the radial differential equation
-                              u'' + coth(t) u' + lam u = 0, u(0) = 1, u'(0) = 0.
+* ``_harish_chandra``  -- the Harish-Chandra series
+                          2 Re[c(s) exp((-1/2 + is) r)
+                          2F1(1/2, 1/2 - is; 1 - is; exp(-2r))],
+                          which ``eigenvalue`` and ``principal_grid`` try
+                          first for principal-series values at r >= 2,
+                          keeping a value only where its error bound meets
+                          abs_tol;
+* ``eigenvalue``       -- the singular integral
+                          sqrt(2)/pi * int_0^r k(x)/sqrt(cosh r - cosh x) dx
+                          with kernel k(x) = cos(s x) on the principal
+                          series and cosh(sigma x) on the complementary
+                          series, desingularized by x = r - u^2 with
+                          u = sqrt(r) t and integrated over t in [0, 1] by
+                          the batched Gauss-Kronrod ``integrate``, for
+                          every value the series does not take;
+* ``eigenvalue_ode``   -- the radial differential equation
+                          u'' + coth(t) u' + lam u = 0, u(0) = 1, u'(0) = 0,
+                          an oracle for the other two.
 
 The ODE oracle needs scipy (the ``oracle`` extra), which is imported only
 when it runs, so the package itself loads on NumPy alone.
@@ -109,12 +112,14 @@ class SpectralParameter:
 
 
 def envelope(r: float) -> float:
-    """Uniform principal-series bound (r+1) exp(-r/2)."""
+    """Uniform principal-series bound (r+1) exp(-r/2).
+
+    Within 1.5 ulps while exp(-r/2) is a normal double, up to r = 1416.8;
+    past it the factor is subnormal and keeps fewer digits, and the result
+    underflows to 0 from about r = 1504 on.
+    """
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"envelope needs r >= 0, got {r}")
-    if r > 700.0:
-        # exp underflows first; go through log space
-        return math.exp(log_envelope(r))
     return (r + 1.0) * math.exp(-0.5 * r)
 
 

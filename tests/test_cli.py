@@ -62,6 +62,10 @@ def run_cli(*args, env_extra=None, timeout=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_main(capsys, *args):
     code = cli.main(list(args))
     out, err = capsys.readouterr()
@@ -396,27 +400,20 @@ class TestMisc:
 class TestInProcess:
     """main(argv) in this process, for checks that count calls or time."""
 
-    def test_csv_scan_evaluates_its_grid_once(self, monkeypatch, capsys):
-        grids = []
-        monkeypatch.setattr(spectrum, "principal_grid", lambda *a: grids.append(a) or principal_grid(*a))
-        code, out, _ = run_main(capsys, "scan", "--r", "4", "--s-max", "2", "--step", "0.5", "--format", "csv")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 2 + 5
-        assert len(grids) == 1
-
     def test_csv_scan_grid_takes_the_matrix_path(self, monkeypatch, capsys):
         # below spherical._SERIES_MIN_R, where no point takes the series
         sizes = node_batch_sizes(monkeypatch)
         code, out, _ = run_main(capsys, "scan", "--r", "1.5", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 2001
-        # only the refinement sub-grids, one batch per level, use nodes
-        assert sizes and set(sizes) == {33} and len(sizes) <= 7
+        # only the probe near s = 4/r, a batch of one, and the refinement
+        # sub-grids, one batch per level, use nodes; the grid rows do not
+        assert sizes[0] == 1 and set(sizes[1:]) == {33} and len(sizes) <= 1 + 7
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scan_at_the_smallest_radius(self, capsys):
         # every value reads 1, which no decay bound can rule out, so the
-        # minimum is the first grid point, as in the whole-grid CSV scan
+        # minimum is the first grid point
         argv = ("scan", "--r", "5e-324", "--s-max", "1", "--step", "1e-4")
         code, out, _ = run_main(capsys, *argv)
         assert code == 0
@@ -427,14 +424,32 @@ class TestInProcess:
         assert code == 0
         assert json.loads(csv.splitlines()[0][2:]) == record
 
-    @pytest.mark.parametrize("r", ["4", "10"])
+    @pytest.mark.parametrize("r", ["0.1", "0.5", "1.5", "4", "10"])
     def test_json_and_csv_scans_agree(self, r, capsys):
-        # bit for bit from r = 2 on, where the series is elementwise
+        # both formats print the one scan's summary, at every radius
         code, out, _ = run_main(capsys, "scan", "--r", r)
         assert code == 0
         code, csv, _ = run_main(capsys, "scan", "--r", r, "--format", "csv")
         assert code == 0
         assert json.loads(csv.splitlines()[0][2:]) == json.loads(out)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.1", "--c", "0.5")])
+    def test_bounds_at_the_top_of_its_range_is_strict_json(self, flags, capsys):
+        # 1/envelope(r) is finite up to r = 1434.1034...
+        code, out, _ = run_main(capsys, "bounds", "--r", "1434.1", *flags)
+        assert code == 0
+        record = json.loads(out, parse_constant=refuse_constant)
+        assert record["results"]["chi_lower_vacuous"] is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", ["1434.2", "1490", "1504", "1e300"])
+    @pytest.mark.parametrize("flags", [(), ("--format", "csv"), ("--lambda", "0.1", "--c", "0.5")])
+    def test_bounds_past_its_range_exits_2(self, r, flags, capsys):
+        # 1/envelope(r) overflows, or envelope(r) underflows to 0 from r = 1504 on
+        code, out, err = run_main(capsys, "bounds", "--r", r, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "log_envelope" in err
 
     def test_initial_panel_budget_exits_3(self, capsys):
         code, out, err = run_main(capsys, "eval", "--r", "2", "--s", "1e300")

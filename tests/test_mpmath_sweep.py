@@ -18,8 +18,8 @@ from spectral_chroma import (
     principal_grid,
     scan_principal,
 )
+import spectral_chroma.spectrum as spectrum
 import spectral_chroma.spherical as spherical
-from spectral_chroma.spectrum import _scan
 from spectral_chroma.spherical import (
     MAX_EVAL_RADIUS,
     PRINCIPAL,
@@ -160,8 +160,9 @@ def test_decay_bound_holds(s, r):
 @example(r=2.0, s_max=1.0, step=0.05)
 def test_pruned_scan_matches_the_whole_grid(r, s_max, step):
     pruned = scan_principal(r, s_max, step)
-    # the CSV scan's reduction over every grid point
-    whole = _scan(r, s_max, step, DEFAULT_QUADRATURE, whole_grid=True)[0]
+    # the reduction over every grid point, with none ruled out
+    with mock.patch.object(spectrum, "_undecided_points", lambda grid, *a: grid.size):
+        whole = scan_principal(r, s_max, step)
     if r >= _SERIES_MIN_R:
         # the series is elementwise, so the kept points read as they do in the whole grid
         assert (pruned.m_numeric, pruned.argmin_s) == (whole.m_numeric, whole.argmin_s)

@@ -90,23 +90,35 @@ class TestScanPrincipal:
         assert summary == scan_principal(4.0, s_max=5.0, grid_step=0.5)
         assert scan_principal(80.0).grid_values is None
 
-    def test_grid_is_computed_on_first_read(self):
+    def test_grid_is_computed_on_first_read(self, monkeypatch):
         # the summary holds no array until its grid is read, and then the
         # whole grid and its values, under the scan's own quadrature
         # settings; the scan itself evaluated a prefix of it, the same bit
         # for bit at r >= 2
+        calls = []
+
+        def spy(grid, r, quad):
+            values = principal_grid(grid, r, quad)
+            calls.append((grid, quad, values))
+            return values
+
+        monkeypatch.setattr(spectrum, "principal_grid", spy)
         quad = QuadratureSpec(abs_tol=1e-12)
-        summary, grid, values = spectrum._scan(4.0, 5.0, 0.5, quad)
+        summary = scan_principal(4.0, 5.0, 0.5, quad)
         assert not any(isinstance(v, np.ndarray) for v in vars(summary).values())
+        # the probe's one point, then the kept prefix
+        assert len(calls) == 2 and calls[0][0].size == 1
+        grid, _, values = calls[1]
         np.testing.assert_array_equal(summary.grid, np.arange(0.0, 5.25, 0.5))
         assert 2 <= grid.size < summary.grid.size
         np.testing.assert_array_equal(summary.grid[:grid.size], grid)
         np.testing.assert_array_equal(summary.grid_values[:grid.size], values)
-        whole = spectrum._scan(4.0, 5.0, 0.5, quad, whole_grid=True)
-        np.testing.assert_array_equal(summary.grid, whole[1])
-        np.testing.assert_array_equal(summary.grid_values, whole[2])
-        assert summary.grid_values is summary.grid_values
-        assert spectrum._scan(80.0, None, 0.05, quad)[1:] == (None, None)
+        # the whole grid, once, on first read
+        assert len(calls) == 3 and calls[2][0] is summary.grid and calls[2][1] is quad
+        assert summary.grid_values is calls[2][2]
+        assert summary.grid_values is summary.grid_values and len(calls) == 3
+        degenerate = scan_principal(80.0, None, 0.05, quad)
+        assert (degenerate.grid, degenerate.grid_values) == (None, None) and len(calls) == 3
 
     def test_grid_size_capped_before_allocation(self):
         with pytest.raises(DomainError, match="scan grid"):

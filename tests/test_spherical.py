@@ -333,9 +333,13 @@ class TestEnvelope:
         assert envelope(10.0) == pytest.approx(11.0 * math.exp(-5.0), rel=1e-15)
 
     def test_log_space_region(self):
-        r = 800.0
-        assert envelope(r) == pytest.approx(math.exp(log_envelope(r)), rel=1e-12)
-        assert envelope(r) > 0.0
+        # past the eigenvalue range, where exp(-r/2) is still a normal
+        # double, the direct formula is within an ulp of 50-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        for r in (800.0, 1000.0, 1400.0):
+            with mpmath.workdps(50):
+                error = abs(mpmath.mpf(envelope(r)) - (r + 1) * mpmath.exp(-mpmath.mpf(r) / 2))
+            assert error <= math.ulp(envelope(r))
 
     def test_log_envelope_consistency(self):
         for r in (0.5, 2.0, 100.0):
