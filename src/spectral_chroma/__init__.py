@@ -27,7 +27,6 @@ from .errors import (
     EdgeListError,
     EdgelessGraphError,
     PreconditionViolation,
-    StepSizeUnderflow,
     ToleranceNotReached,
 )
 from .geometry import MAX_CIRCLE_RADIUS, ORIGIN, Point, circle_point, distance
@@ -35,14 +34,12 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .spectrum import (
     SpectrumSummary,
     default_s_max,
-    full_range_floor,
     scan_principal,
     verify_eigenfunction,
 )
 from .spherical import (
     SpectralParameter,
     eigenvalue,
-    eigenvalue_ode,
     envelope,
     log_envelope,
     principal_grid,
@@ -65,16 +62,13 @@ __all__ = [
     "QuadratureSpec",
     "SpectralParameter",
     "SpectrumSummary",
-    "StepSizeUnderflow",
     "ToleranceNotReached",
     "circle_point",
     "compare",
     "default_s_max",
     "distance",
     "eigenvalue",
-    "eigenvalue_ode",
     "envelope",
-    "full_range_floor",
     "hoffman_finite",
     "hoffman_operator",
     "log_envelope",

@@ -264,12 +264,17 @@ def parse_edge_list(lines: Iterable[str]) -> np.ndarray:
     One "u v" pair of 0-based vertex ids per line; '#' starts a comment;
     an optional first content line "n <count>" pins the vertex count,
     otherwise it is 1 + the largest id.  Duplicate edges collapse;
-    self-loops and malformed lines are rejected with their line number.
+    self-loops, malformed lines and lines that are not UTF-8 (holding
+    lone surrogates) are rejected with their line number.
     """
     declared: int | None = None
     edges: list[tuple[int, int]] = []
     seen_content = False
     for line_no, raw in enumerate(lines, start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raise EdgeListError(line_no, "not UTF-8") from None
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -314,5 +319,6 @@ def parse_edge_list(lines: Iterable[str]) -> np.ndarray:
 
 def read_edge_list(path) -> np.ndarray:
     """Adjacency matrix from an edge-list file (UTF-8, LF)."""
-    with open(path, encoding="utf-8") as fh:
+    # bytes that are not UTF-8 read as lone surrogates, which parse_edge_list rejects
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_edge_list(fh)

@@ -32,7 +32,7 @@ from .errors import (
 from .geometry import Point
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .spectrum import _GRID_STEP, REFINE_XTOL, scan_principal, verify_eigenfunction
-from .spherical import SpectralParameter, eigenvalue, envelope
+from .spherical import PRINCIPAL, SpectralParameter, eigenvalue, envelope
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +80,11 @@ def _parameter(args) -> SpectralParameter:
     return SpectralParameter.complementary(args.sigma)
 
 
+def _parameter_input(param: SpectralParameter) -> dict:
+    """The parameter as its flag gave it, keyed by that flag's name."""
+    return {"s" if param.kind == PRINCIPAL else "sigma": param.sign * param.value}
+
+
 def _parse_base(text: str) -> Point:
     parts = text.split(",")
     if len(parts) != 2:
@@ -96,11 +101,9 @@ def _cmd_eval(args) -> tuple[str, int]:
     quad = DEFAULT_QUADRATURE if args.tol is None else QuadratureSpec(abs_tol=args.tol)
     param = _parameter(args)
     value = eigenvalue(param, args.r, quad)
-    inputs = {"r": args.r}
-    inputs["s" if param.kind == "principal" else "sigma"] = param.sign * param.value
     return _json({
         "command": "eval",
-        "inputs": inputs,
+        "inputs": {"r": args.r, **_parameter_input(param)},
         "results": {
             "value": _num(value, SCANNED),
             "envelope": _num(envelope(args.r), FORMULA),
@@ -216,11 +219,9 @@ def _cmd_verify(args) -> tuple[str, int]:
     base = _parse_base(args.base)
     residual = verify_eigenfunction(param, args.r, base, args.n, quad)
     passed = residual < VERIFY_THRESHOLD
-    inputs = {"r": args.r, "n": args.n, "base": args.base}
-    inputs["s" if param.kind == "principal" else "sigma"] = param.sign * param.value
     return _json({
         "command": "verify",
-        "inputs": inputs,
+        "inputs": {"r": args.r, "n": args.n, "base": args.base, **_parameter_input(param)},
         "results": {
             "residual": _num(residual, SCANNED),
             "threshold": _num(VERIFY_THRESHOLD, FORMULA),

@@ -17,10 +17,6 @@ class ToleranceNotReached(RuntimeError):
     """Subdivision budget exhausted before the quadrature target was met."""
 
 
-class StepSizeUnderflow(DomainError):
-    """ODE integration requested outside its supported parameter range."""
-
-
 class EdgeListError(ValueError):
     """Malformed edge-list input; carries the offending line number."""
 

@@ -68,11 +68,14 @@ class SpectrumSummary:
     function is an eigenfunction with eigenvalue 1, while the plane itself
     has sup strictly below 1; the bound pipeline uses the quotient value.
     m_numeric is the scanned (uncertified) minimum; m_analytic the
-    certified floor -(r+1)exp(-r/2).  grid and grid_values are the whole
-    scan grid and its eigenvalues (None when degenerate), including the
-    points the scan ruled out without evaluating them; the CSV scan prints
-    them as its rows.  They are computed on first read and then kept, so a
-    summary whose grid is never read holds no array.
+    certified floor -(r+1)exp(-r/2) for the whole numerical range:
+    complementary-series values are strictly positive, so the principal
+    envelope floors every value the operator can attain on a quotient.
+    grid and grid_values are the whole scan grid and its eigenvalues (None
+    when degenerate), including the points the scan ruled out without
+    evaluating them; the CSV scan prints them as its rows.  They are
+    computed on first read and then kept, so a summary whose grid is never
+    read holds no array.
     """
 
     r: float
@@ -211,17 +214,6 @@ def _undecided_points(grid: np.ndarray, grid_step: float, r: float, quad: Quadra
     ruled_out = np.flatnonzero(_decay_bound(grid[1:], r)[1] * (1.0 + _DECAY_ROUNDING)
                                + 3.0 * quad.abs_tol < -m)
     return grid.size if ruled_out.size == 0 else int(ruled_out[0]) + 2
-
-
-def full_range_floor(r: float) -> float:
-    """Certified lower bound -(r+1)exp(-r/2) for the whole numerical range.
-
-    Complementary-series values are strictly positive, so the principal
-    envelope floors every value the operator can attain on a quotient.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"full_range_floor needs r > 0, got {r}")
-    return -envelope(r)
 
 
 def verify_eigenfunction(

@@ -2,7 +2,7 @@
 
 The rotation-invariant eigenfunctions attach to each spectral parameter an
 eigenvalue equal to the conical Legendre value P_{-1/2+is}(cosh r).  This
-module evaluates it three independent ways:
+module evaluates it two independent ways:
 
 * ``_harish_chandra``  -- the Harish-Chandra series
                           2 Re[c(s) exp((-1/2 + is) r)
@@ -18,13 +18,11 @@ module evaluates it three independent ways:
                           series, desingularized by x = r - u^2 with
                           u = sqrt(r) t and integrated over t in [0, 1] by
                           the batched Gauss-Kronrod ``integrate``, for
-                          every value the series does not take;
-* ``eigenvalue_ode``   -- the radial differential equation
-                          u'' + coth(t) u' + lam u = 0, u(0) = 1, u'(0) = 0,
-                          an oracle for the other two.
+                          every value the series does not take.
 
-The ODE oracle needs scipy (the ``oracle`` extra), which is imported only
-when it runs, so the package itself loads on NumPy alone.
+The tests check both against mpmath's Legendre function and against the
+radial differential equation u'' + coth(t) u' + lam u = 0.  Those
+references live in tests/oracles.py; the package itself needs NumPy alone.
 It also provides the uniform envelope (r+1) exp(-r/2) that bounds every
 principal-series eigenvalue.  Evaluation is stateless; grid sweeps are safe
 to run unsynchronized in parallel.
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StepSizeUnderflow
+from .errors import DomainError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _EPS, _cosine_progression, integrate
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
@@ -49,11 +47,6 @@ COMPLEMENTARY = "complementary"
 
 # sinh overflows past ~710, where the eigenvalues are below 1e-150 anyway
 MAX_EVAL_RADIUS = 700.0
-
-# supported window of the ODE route
-ODE_MAX_S = 100.0
-ODE_MAX_R = 30.0
-_ODE_SEED_T = 1e-4
 
 # principal-series items at r >= _SERIES_MIN_R with s inside _SERIES_S_WINDOW
 # try the Harish-Chandra series first (_harish_chandra).  In the window 1/s
@@ -370,76 +363,3 @@ def principal_grid(s_values, r: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
     if not np.all(np.isfinite(s)) or np.any(s < 0.0):
         raise DomainError("s grid must be finite and non-negative")
     return _eigenvalue_batch(PRINCIPAL, s, r, quad)
-
-
-def _series_seed(lam, t):
-    # even Taylor series of the regular solution about t = 0, elementwise
-    a1 = -lam / 4.0
-    a2 = lam * (lam + 2.0 / 3.0) / 64.0
-    a3 = (-a2 * (lam + 4.0 / 3.0) + 2.0 * a1 / 45.0) / 36.0
-    t2 = t * t
-    u = 1.0 + t2 * (a1 + t2 * (a2 + t2 * a3))
-    du = t * (2.0 * a1 + t2 * (4.0 * a2 + t2 * 6.0 * a3))
-    return u, du
-
-
-def _ode_lambda(param: SpectralParameter) -> float:
-    if param.kind == COMPLEMENTARY:
-        return 0.25 - param.value * param.value
-    if param.value > ODE_MAX_S:
-        raise StepSizeUnderflow(f"s = {param.value} outside the supported ODE range s <= {ODE_MAX_S}")
-    return param.value * param.value + 0.25
-
-
-def eigenvalue_ode(param: SpectralParameter, r: float) -> float:
-    """Same eigenvalue through the radial differential equation.
-
-    The regular solution of u'' + coth(t) u' + lam u = 0, u(0) = 1,
-    u'(0) = 0 is evaluated at t = r, with lam = s^2 + 1/4 on the principal
-    series and 1/4 - sigma^2 on the complementary one.  The solution is
-    Taylor-seeded just off the coordinate singularity at t = 0 and carried
-    to r by an 8th-order adaptive Runge-Kutta scheme.  Supported window:
-    s <= 100, r <= 30.  This is a batch of one.
-    """
-    return float(_eigenvalue_ode_batch([param], [r])[0])
-
-
-def _eigenvalue_ode_batch(params, radii) -> np.ndarray:
-    """ODE-route eigenvalues for a sequence of parameters at per-item radii.
-
-    With t = r tau every item runs over tau in [tau0, 1], so the whole batch
-    is one DOP853 system of 2 n equations.  Each item is Taylor-seeded at
-    t = r tau0, where tau0 = _ODE_SEED_T / max r; items with r <= _ODE_SEED_T
-    take the series value directly (1 at r = 0).
-    """
-    radii = np.asarray(radii, dtype=float)
-    for r in radii:
-        if not (math.isfinite(r) and r >= 0.0):
-            raise DomainError(f"radius must be a finite non-negative real, got {r}")
-        if r > ODE_MAX_R:
-            raise StepSizeUnderflow(f"r = {r} outside the supported ODE range r <= {ODE_MAX_R}")
-    lam = np.array([_ode_lambda(p) for p in params])
-    out = np.empty(radii.shape)
-    seeded = radii <= _ODE_SEED_T
-    out[seeded] = _series_seed(lam[seeded], radii[seeded])[0]
-    live = ~seeded
-    if not np.any(live):
-        return out
-    lam, r = lam[live], radii[live]
-    tau0 = _ODE_SEED_T / float(np.max(r))
-
-    def rhs(tau, y):
-        # y = (u, du/dt) per item; d/dtau = r d/dt
-        u, du = y[:r.size], y[r.size:]
-        return np.concatenate((r * du, -r * (du / np.tanh(r * tau) + lam * u)))
-
-    try:
-        from scipy.integrate import solve_ivp
-    except ImportError as exc:
-        raise ImportError("the ODE oracle needs scipy: pip install 'spectral-chroma[oracle]'") from exc
-    sol = solve_ivp(rhs, (tau0, 1.0), np.concatenate(_series_seed(lam, r * tau0)),
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
-    out[live] = sol.y[:r.size, -1]
-    return out

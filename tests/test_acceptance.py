@@ -27,7 +27,7 @@ from spectral_chroma import (
     scan_principal,
     verify_eigenfunction,
 )
-from spectral_chroma.spherical import _eigenvalue_ode_batch
+from oracles import eigenvalue_ode_batch
 from test_bounds import (
     brute_force_independence_ratio,
     complete_graph,
@@ -71,7 +71,7 @@ def test_criterion_2_oracle_agreement():
         for r in range(1, 11):
             points.append((SpectralParameter.complementary(float(sigma)), float(r)))
     params, radii = zip(*points)
-    ode = _eigenvalue_ode_batch(params, radii)
+    ode = eigenvalue_ode_batch(params, radii)
     worst = max(abs(eigenvalue(p, r) - u) for (p, r), u in zip(points, ode))
     elapsed = time.perf_counter() - t0
     _report(

@@ -300,6 +300,8 @@ class TestEdgeList:
             (["a b"], "integers"),
             (["n 2", "0 5"], "outside"),
             (["n x"], "integer"),
+            # a byte that is not UTF-8, as read_edge_list decodes it
+            (["0 1", "1 2\udcff"], "line 2: not UTF-8"),
         ],
     )
     def test_malformed_lines(self, lines, fragment):

@@ -62,3 +62,11 @@ def test_every_input_gets_a_documented_exit_code(argv, no_nan_radii, capsys):
         code = exc.code
     capsys.readouterr()
     assert code in DOCUMENTED, argv
+
+
+@pytest.mark.parametrize("data,line_no", [(b"\xff\n", 1), (b"0 1\n1 2\n# caf\xe9\n2 0\n", 3)])
+def test_edge_list_that_is_not_utf8_exits_2(data, line_no, tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(data)
+    assert cli.main(["graph", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line_no}: not UTF-8\n"

@@ -18,7 +18,6 @@ from spectral_chroma import (
     distance,
     eigenvalue,
     envelope,
-    full_range_floor,
     principal_grid,
     scan_principal,
     verify_eigenfunction,
@@ -60,7 +59,7 @@ class TestScanPrincipal:
         assert abs(a.m_numeric - b.m_numeric) < 1e-6
 
     def test_floor_consistency_across_radii(self):
-        for r in (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0):
+        for r in (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0):
             summary = scan_principal(r, s_max=20.0, grid_step=0.1)
             assert summary.m_analytic <= summary.m_numeric <= 0.0
 
@@ -131,21 +130,6 @@ class TestScanPrincipal:
             scan_principal(4.0, s_max=0.5)
         with pytest.raises(DomainError):
             scan_principal(4.0, grid_step=0.0)
-
-
-class TestFullRangeFloor:
-    def test_values(self):
-        assert full_range_floor(2.0) == pytest.approx(-3.0 * math.exp(-1.0), rel=1e-15)
-        assert full_range_floor(10.0) == pytest.approx(-11.0 * math.exp(-5.0), rel=1e-15)
-
-    def test_floor_below_scanned_minimum(self):
-        for r in (1.0, 3.0, 6.0):
-            summary = scan_principal(r, s_max=30.0, grid_step=0.1)
-            assert full_range_floor(r) <= summary.m_numeric
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            full_range_floor(0.0)
 
 
 class TestVerifyEigenfunction:

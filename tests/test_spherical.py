@@ -9,10 +9,8 @@ from spectral_chroma import (
     DomainError,
     QuadratureSpec,
     SpectralParameter,
-    StepSizeUnderflow,
     ToleranceNotReached,
     eigenvalue,
-    eigenvalue_ode,
     envelope,
     log_envelope,
     principal_grid,
@@ -25,10 +23,10 @@ from spectral_chroma.spherical import (
     _c_angle,
     _decay_bound,
     _eigenvalue_batch,
-    _eigenvalue_ode_batch,
     _harish_chandra,
     _smooth_weight,
 )
+from oracles import eigenvalue_ode, eigenvalue_ode_batch, legendre
 
 # Frozen references, computed with 40-digit arithmetic from two independent
 # high-precision routes (hypergeometric evaluation of the conical Legendre
@@ -153,7 +151,7 @@ class TestOdeOracle:
         rng = np.random.default_rng(202)
         points = [(SpectralParameter.principal(rng.uniform(0.0, 50.0)), rng.uniform(0.05, 10.0))
                   for _ in range(25)]
-        ode = _eigenvalue_ode_batch(*zip(*points))
+        ode = eigenvalue_ode_batch(*zip(*points))
         for (p, r), u in zip(points, ode):
             assert abs(eigenvalue(p, r) - u) <= 1e-8
 
@@ -169,13 +167,10 @@ class TestOdeOracle:
     def test_initial_condition_at_tiny_radius(self):
         assert eigenvalue_ode(SpectralParameter.principal(5.0), 1e-6) == pytest.approx(1.0, abs=1e-9)
 
-    def test_range_error_is_a_domain_error(self):
-        assert issubclass(StepSizeUnderflow, DomainError)
-
     def test_supported_window(self):
-        with pytest.raises(StepSizeUnderflow):
+        with pytest.raises(ValueError):
             eigenvalue_ode(SpectralParameter.principal(101.0), 1.0)
-        with pytest.raises(StepSizeUnderflow):
+        with pytest.raises(ValueError):
             eigenvalue_ode(SpectralParameter.principal(1.0), 31.0)
 
 
@@ -223,8 +218,6 @@ class TestPrincipalGrid:
     ])
     def test_mixed_radius_batch(self, kind, values, radii):
         pytest.importorskip("mpmath")
-        from test_mpmath_sweep import legendre
-
         batch = _eigenvalue_batch(kind, np.array(values), np.array(radii), DEFAULT_QUADRATURE)
         for v, r, got in zip(values, radii, batch):
             param = SpectralParameter(kind, v)
@@ -260,7 +253,7 @@ class TestHarishChandra:
         tol = DEFAULT_QUADRATURE.abs_tol
         assert np.all(_harish_chandra(s, r)[1] <= tol)
         series = _eigenvalue_batch(PRINCIPAL, s, r, DEFAULT_QUADRATURE)
-        ode = _eigenvalue_ode_batch([SpectralParameter.principal(x) for x in s], r)
+        ode = eigenvalue_ode_batch([SpectralParameter.principal(x) for x in s], r)
         monkeypatch.setattr(spherical, "_SERIES_MIN_R", math.inf)
         integral = _eigenvalue_batch(PRINCIPAL, s, r, DEFAULT_QUADRATURE)
         assert np.max(np.abs(series - integral)) <= 2.0 * tol
