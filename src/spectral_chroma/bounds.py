@@ -318,7 +318,7 @@ def parse_edge_list(lines: Iterable[str]) -> np.ndarray:
 
 
 def read_edge_list(path) -> np.ndarray:
-    """Adjacency matrix from an edge-list file (UTF-8, LF)."""
+    """Adjacency matrix from an edge-list file (UTF-8, LF, an optional leading byte-order mark)."""
     # bytes that are not UTF-8 read as lone surrogates, which parse_edge_list rejects
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_edge_list(fh)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geometry import Point
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
-from .spectrum import _GRID_STEP, REFINE_XTOL, scan_principal, verify_eigenfunction
+from .spectrum import _GRID_STEP, scan_principal, verify_eigenfunction
 from .spherical import PRINCIPAL, SpectralParameter, eigenvalue, envelope
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def _cmd_scan(args) -> tuple[str, int]:
             "argmin_s": _num(summary.argmin_s, SCANNED),
             "degenerate": summary.degenerate,
         },
-        "meta": {**_quad_meta(quad), "refine_xtol": REFINE_XTOL},
+        "meta": _quad_meta(quad),
     }
     if args.format == "json":
         return _json(record), EXIT_OK

@@ -37,8 +37,8 @@ from .spherical import (
 # below this, scanned values are indistinguishable from quadrature noise
 _DEGENERATE_FLOOR = 1e-12
 
-#: width in s of the bracket the scan minimum is refined to
-REFINE_XTOL = 1e-9
+# share of abs_tol by which the sampled scan minimum may exceed the true one
+_REFINE_SLACK = 0.1
 
 # points per refinement sub-grid; each level narrows the bracket 16-fold
 _REFINE_POINTS = 33
@@ -130,10 +130,14 @@ def scan_principal(
 
     The grid minimum is refined inside its bracketing cell by batched
     sub-grids, each laid over the neighbours of the lowest point so far,
-    for a level count fixed in advance that takes the bracket to
-    REFINE_XTOL in s.  When the envelope is already below the quadrature
-    noise scale the scan is skipped and the summary is flagged degenerate
-    with m_numeric = 0.
+    for a level count fixed in advance by a curvature bound
+    (_refine_levels): the refinement stops at the first spacing w, the
+    grid's own included, with r^2 envelope(r) w^2 / 8 <= _REFINE_SLACK
+    abs_tol, which bounds how far a minimum sampled at spacing w lies above
+    the true minimum of its bracket.  m_numeric is the lowest value
+    sampled and argmin_s its point, resolved to that final spacing.  When
+    the envelope is already below the quadrature noise scale the scan is
+    skipped and the summary is flagged degenerate with m_numeric = 0.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"scan needs r > 0, got {r}")
@@ -166,9 +170,7 @@ def scan_principal(
     argmin_s, m_numeric = float(grid[i]), float(values[i])
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
     # fixed before the loop, so it ends however coarse the doubles near lo are
-    width = hi - lo
-    levels = math.ceil(math.log(width / REFINE_XTOL, (_REFINE_POINTS - 1) / 2)) if width > REFINE_XTOL else 0
-    for _ in range(levels):
+    for _ in range(_refine_levels(r * r * env, float(grid_step), hi - lo, quad.abs_tol)):
         step = (hi - lo) / (_REFINE_POINTS - 1)
         sub = lo + np.arange(_REFINE_POINTS) * step
         sub_values = _eigenvalue_batch(PRINCIPAL, sub, r, quad)
@@ -181,6 +183,28 @@ def scan_principal(
         r=r, M=1.0, m_numeric=m_numeric, m_analytic=m_analytic, argmin_s=argmin_s,
         s_max_scanned=float(s_max), grid_step=float(grid_step), _quad=quad,
     )
+
+
+def _refine_levels(curvature: float, grid_step: float, width: float, abs_tol: float) -> int:
+    """Sub-grid levels after which a sampled minimum is within _REFINE_SLACK abs_tol of the true one.
+
+    curvature bounds |d^2 phi_s(r) / ds^2|: phi_s(r) is the integral of
+    cos(s x) K(x) over x in [-r, r] with a kernel K > 0, so
+    |d^2 phi_s / ds^2| = |int x^2 cos(s x) K| <= r^2 phi_0(r) <= r^2
+    envelope(r).  Near an interior minimum the function so lies within
+    curvature (w/2)^2 / 2 of it at the nearest of points w apart.  Level 0 is the grid itself, at spacing grid_step; level k >= 1
+    samples the bracket at spacing width / 32 / 16^(k-1).  The count is the
+    first k whose spacing meets the bound; a one-point grid, with no
+    bracket, takes none.  An r^2 that underflows to 0 takes none either;
+    nothing divides by it, and spacings that underflow end the count.
+    """
+    target = 8.0 * _REFINE_SLACK * abs_tol
+    if width == 0.0 or curvature * grid_step * grid_step <= target:
+        return 0
+    levels, spacing = 1, width / (_REFINE_POINTS - 1)
+    while curvature * spacing * spacing > target:
+        levels, spacing = levels + 1, spacing / ((_REFINE_POINTS - 1) / 2)
+    return levels
 
 
 def _undecided_points(grid: np.ndarray, grid_step: float, r: float, quad: QuadratureSpec) -> int:

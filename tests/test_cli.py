@@ -21,7 +21,7 @@ from spectral_chroma import (
     scan_principal,
     verify_eigenfunction,
 )
-from test_spectrum import node_batch_sizes
+from test_spectrum import node_batch_sizes, refinement_batches
 
 PETERSEN_EDGES = """\
 # outer cycle, spokes, inner pentagram
@@ -151,14 +151,17 @@ class TestScan:
         assert run_cli("scan", "--r", "0")[0] == 2
 
     def test_refinement_ends_where_doubles_are_coarser_than_its_width(self):
-        # past s = 2**23 the doubles are 1.86e-9 apart, wider than
-        # REFINE_XTOL; as r -> 0 the eigenvalue at s tends to J0(r*s), so
-        # the minimum is J0's, at r*s = the first zero of J1
+        # past s = 2**23 the doubles are 1.86e-9 apart; as r -> 0 the
+        # eigenvalue at s tends to J0(r*s), so the minimum is J0's, at
+        # r*s = the first zero of J1.  argmin_s is resolved to the final
+        # sampling's spacing w, with r w <= sqrt(8 _REFINE_SLACK abs_tol /
+        # envelope(r)) (8.9e-6 here; the scan's w is 15.3, r w = 6.1e-6)
         code, out, _ = run_cli("scan", "--r", "4e-7", "--s-max", "1.2e7", "--step", "1e6", timeout=120)
         assert code == 0
         results = json.loads(out)["results"]
         assert abs(results["m_numeric"]["value"] - (-0.4027593957025531)) <= 1e-10
-        assert abs(results["argmin_s"]["value"] * 4e-7 - 3.8317059702075123) <= 1e-7
+        resolution = math.sqrt(8.0 * spectrum._REFINE_SLACK * 1e-10 / envelope(4e-7))
+        assert abs(results["argmin_s"]["value"] * 4e-7 - 3.8317059702075123) <= resolution
 
 
 class TestBounds:
@@ -259,6 +262,21 @@ class TestGraph:
     def test_missing_file(self, tmp_path):
         assert run_cli("graph", "--input", str(tmp_path / "nope.txt"))[0] == 2
 
+    @pytest.mark.parametrize("text", ["0 1\n1 2\n2 0\n", "n 4\n0 1\n1 2\n2 0\n"], ids=["edge", "header"])
+    def test_byte_order_mark_is_read_past(self, text, tmp_path, capsys):
+        # a UTF-8 file may open with a byte-order mark, as some editors write it
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        records = []
+        for path in (plain, marked):
+            code, out, _ = run_main(capsys, "graph", "--input", str(path))
+            assert code == 0
+            records.append(json.loads(out))
+            assert records[-1]["inputs"].pop("input") == str(path)
+        assert records[0] == records[1]
+
 
 class TestVerify:
     def test_constant_function_passes(self):
@@ -303,7 +321,7 @@ class TestSettings:
         assert code == 0
         record = json.loads(out)
         # the QuadratureSpec fields, and nothing else of the integrator
-        assert record["meta"].keys() - {"version", "refine_xtol"} == {"abs_tol"}
+        assert record["meta"].keys() - {"version"} == {"abs_tol"}
         assert record["meta"]["abs_tol"] == 1e-6
         assert record["results"][key]["value"] == api(QuadratureSpec(abs_tol=1e-6))
 
@@ -409,6 +427,16 @@ class TestInProcess:
         # only the probe near s = 4/r, a batch of one, and the refinement
         # sub-grids, one batch per level, use nodes; the grid rows do not
         assert sizes[0] == 1 and set(sizes[1:]) == {33} and len(sizes) <= 1 + 7
+
+    @pytest.mark.parametrize("r", ["0.5", "4", "30"])
+    def test_tighter_tol_refines_at_least_as_deep(self, r, monkeypatch, capsys):
+        # the curvature bound's target shrinks with abs_tol
+        batches, levels = refinement_batches(monkeypatch), []
+        for tol in ((), ("--tol", "1e-12")):
+            batches.clear()
+            assert run_main(capsys, "scan", "--r", r, *tol)[0] == 0
+            levels.append(len(batches))
+        assert 0 < levels[0] <= levels[1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scan_at_the_smallest_radius(self, capsys):

@@ -285,16 +285,19 @@ class TestIntegrandWork:
             finest.append(max(panels for _, panels in passes))
             total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.SWEEP_FINEST)), finest
-        # 1,134,600 on 15/31 panels, on the grid points the decay bound
-        # cannot rule out: 1,119,224 and 15,159 at r = 0.1 and 0.5, and one
-        # panel for s = 0 at each radius from 2 on; 3,990,382 on the whole
-        # grids, 23,969,572 before the series, 38,250,075 on 7/15 panels
+        # 1,122,324 on 15/31 panels, on the grid points the decay bound
+        # cannot rule out and the refinement sub-grids the curvature bound
+        # asks for: 1,111,040 and 11,067 at r = 0.1 and 0.5, and one panel
+        # for s = 0 at each radius from 2 on; 1,134,600 with seven
+        # refinement levels at every radius, 3,990,382 on the whole grids,
+        # 23,969,572 before the series, 38,250,075 on 7/15 panels
         assert total <= 1_140_000
         # from r = 2 on, the probe, the 41 to 4 kept grid points with s > 0
-        # (42, 22, 14, 10, 8, 6 and 5 kept, s = 0 included) and seven
-        # refinement sub-grids of 33 points at each of seven radii;
-        # 7 * (2000 + 7 * 33) = 15,617 on the whole grids
-        assert sum(series) == 7 * (1 + 7 * 33) + (41 + 21 + 13 + 9 + 7 + 5 + 4)
+        # (42, 22, 14, 10, 8, 6 and 5 kept, s = 0 included) and the
+        # refinement sub-grids of 33 points, four levels at r = 2 to 15 and
+        # three at r = 20 and 30 (TestRefinementDepth); 7 * (1 + 7 * 33) +
+        # 100 = 1,724 with seven levels at every radius
+        assert sum(series) == 7 * 1 + (41 + 21 + 13 + 9 + 7 + 5 + 4) + 33 * (5 * 4 + 2 * 3)
 
     def test_circle_verification(self, monkeypatch):
         passes, series = refine_passes(monkeypatch), series_items(monkeypatch)
@@ -325,3 +328,66 @@ class TestIntegrandWork:
         passes = refine_passes(monkeypatch)
         eigenvalue(SpectralParameter.complementary(0.499), r)
         assert integrand_values(passes) <= bound
+
+
+def refinement_batches(monkeypatch) -> list[int]:
+    """Items per spectrum._eigenvalue_batch call, recorded from here on.
+
+    A scan evaluates its grid through principal_grid, so within a scan
+    only the refinement sub-grids, one batch per level, are recorded.
+    """
+    sizes = []
+    batch = spectrum._eigenvalue_batch
+
+    def spy(kind, values, radii, quad):
+        sizes.append(values.size)
+        return batch(kind, values, radii, quad)
+
+    monkeypatch.setattr(spectrum, "_eigenvalue_batch", spy)
+    return sizes
+
+
+def fixed_width_levels(curvature, grid_step, width, abs_tol):
+    """The level count that takes the bracket to 1e-9 in s, whatever the curvature."""
+    return math.ceil(math.log(width / 1e-9, 16)) if width > 1e-9 else 0
+
+
+class TestRefinementDepth:
+    """How many refinement sub-grids a scan lays, and what stopping there costs in value.
+
+    The counts are exact and do not depend on the machine's speed.
+    """
+
+    def test_default_sweep(self, monkeypatch):
+        batches, levels = refinement_batches(monkeypatch), []
+        for r in TestIntegrandWork.SWEEP_RADII:
+            batches.clear()
+            scan_principal(r)
+            levels.append(len(batches))
+        # [3, 3, 4, 4, 4, 4, 4, 3, 3]; 63, seven at every radius, when the
+        # bracket was refined to 1e-9 in s
+        assert sum(levels) <= 32, levels
+
+    @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("r", [0.003, 0.1, 0.5, 2.0, 4.0, 10.0, 30.0, 50.0])
+    def test_value_within_its_slack_of_a_fixed_width_refinement(self, monkeypatch, r, abs_tol):
+        # the same grid and bracket refined to 1e-9 in s reads at most
+        # _REFINE_SLACK abs_tol lower (about 0.01 abs_tol at most here); it
+        # cannot read higher, as it samples every level the scan does and
+        # more.  r = 50 at abs_tol 1e-10 is degenerate, m_numeric = 0 on both.
+        quad = QuadratureSpec(abs_tol=abs_tol)
+        scanned = scan_principal(r, quad=quad)
+        monkeypatch.setattr(spectrum, "_refine_levels", fixed_width_levels)
+        reference = scan_principal(r, quad=quad)
+        assert 0.0 <= scanned.m_numeric - reference.m_numeric <= spectrum._REFINE_SLACK * abs_tol
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [1e-200, 5e-324])
+    def test_no_levels_where_r_squared_underflows(self, monkeypatch, r):
+        # every value reads 1 and r * r is 0, so the curvature bound asks
+        # for no refinement, and nothing divides by it
+        assert r * r == 0.0
+        batches = refinement_batches(monkeypatch)
+        summary = scan_principal(r, 1.0, 1e-4)
+        assert batches == []
+        assert (summary.m_numeric, summary.argmin_s) == (1.0, 0.0)
