@@ -40,8 +40,8 @@ _DEGENERATE_FLOOR = 1e-12
 # share of abs_tol by which the sampled scan minimum may exceed the true one
 _REFINE_SLACK = 0.1
 
-# points per refinement sub-grid; each level narrows the bracket 16-fold
-_REFINE_POINTS = 33
+# points per refinement sub-grid; each level narrows the bracket 32-fold
+_REFINE_POINTS = 65
 
 # default scan grid step in s
 _GRID_STEP = 0.05
@@ -121,16 +121,18 @@ def scan_principal(
     value, lies below minus the probe's value; the grid is evaluated up to
     that point only (_undecided_points).  No point ruled out could have
     read below the minimum of those kept.  From r = 2 on, where the series
-    evaluates each point on its own, the result is bit for bit that of
-    the whole grid whenever the series takes every point ruled out, as it
-    does at the default abs_tol; below r = 2, fewer points share fewer
-    panels, and grid values may move within abs_tol.  This is the only
-    scan: the CSV scan prints the summary's whole grid and grid_values
-    beside this minimum.
+    evaluates each point with s > 0 on its own and s = 0 takes its closed
+    form (spherical._phi_zero), the result is bit for bit that of the
+    whole grid whenever the series takes every point ruled out, as it
+    does at the default abs_tol; below r = 2, the kept points form a
+    progression on fewer panels, and grid values may move within abs_tol.
+    This is the only scan: the CSV scan prints the summary's whole grid
+    and grid_values beside this minimum.
 
     The grid minimum is refined inside its bracketing cell by batched
-    sub-grids, each laid over the neighbours of the lowest point so far,
-    for a level count fixed in advance by a curvature bound
+    sub-grids of _REFINE_POINTS = 65 points, each laid over the neighbours
+    of the lowest point so far and so narrowing the bracket 32-fold, for a
+    level count fixed in advance by a curvature bound
     (_refine_levels): the refinement stops at the first spacing w, the
     grid's own included, with r^2 envelope(r) w^2 / 8 <= _REFINE_SLACK
     abs_tol, which bounds how far a minimum sampled at spacing w lies above
@@ -192,8 +194,9 @@ def _refine_levels(curvature: float, grid_step: float, width: float, abs_tol: fl
     cos(s x) K(x) over x in [-r, r] with a kernel K > 0, so
     |d^2 phi_s / ds^2| = |int x^2 cos(s x) K| <= r^2 phi_0(r) <= r^2
     envelope(r).  Near an interior minimum the function so lies within
-    curvature (w/2)^2 / 2 of it at the nearest of points w apart.  Level 0 is the grid itself, at spacing grid_step; level k >= 1
-    samples the bracket at spacing width / 32 / 16^(k-1).  The count is the
+    curvature (w/2)^2 / 2 of it at the nearest of points w apart.  Level 0
+    is the grid itself, at spacing grid_step; level k >= 1 samples the
+    bracket at spacing width / 64 / 32^(k-1).  The count is the
     first k whose spacing meets the bound; a one-point grid, with no
     bracket, takes none.  An r^2 that underflows to 0 takes none either;
     nothing divides by it, and spacings that underflow end the count.

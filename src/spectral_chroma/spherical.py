@@ -20,7 +20,11 @@ module evaluates it two independent ways:
                           the batched Gauss-Kronrod ``integrate``, for
                           every value the series does not take.
 
-The tests check both against mpmath's Legendre function and against the
+The parameter 0, s = 0 and sigma = 0 alike, has the closed form
+phi_0(r) = 1 / AGM(1, cosh(r/2)) (``_phi_zero``), which every such value
+outside a scan grid's progression takes instead of the integral.
+
+The tests check all three against mpmath's Legendre function and against the
 radial differential equation u'' + coth(t) u' + lam u = 0.  Those
 references live in tests/oracles.py; the package itself needs NumPy alone.
 It also provides the uniform envelope (r+1) exp(-r/2) that bounds every
@@ -31,6 +35,7 @@ to run unsynchronized in parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +44,10 @@ from .errors import DomainError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _EPS, _cosine_progression, integrate
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
-# sqrt(r) max(value, 1.5) per initial panel, see _eigenvalue_batch
+# phase s r per initial panel, times max(1, sqrt(r)); see _eigenvalue_batch
 _PANEL_PHASE = 3.0 * math.pi
+# arithmetic-geometric mean steps of _phi_zero; 12 converge at r = 700
+_AGM_STEPS = 14
 
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
@@ -67,6 +74,19 @@ _SERIES_ROUNDING = 128.0
 # C_j = (2 - 2^(1 - 2j)) B_2j / (2j (2j - 1)) with B_2j the Bernoulli numbers
 _GAMMA_SHIFT = 16
 _GAMMA_RATIO_TERMS = (1 / 8, -1 / 192, 1 / 640, -17 / 14336, 31 / 18432, -691 / 180224)
+
+# the tables of _harish_chandra and _c_angle that depend on the row k alone:
+# the 2F1's term ratios, one row per k below the largest term count at
+# r >= _SERIES_MIN_R, then Stirling's odd powers and coefficients, and the
+# shift factors' k (k + 1/2) for k < _GAMMA_SHIFT
+_RATIO_K1 = np.arange(1.0, math.ceil(_SERIES_DECAY / _SERIES_MIN_R))[:, None]
+_RATIO_K1_SQUARED = _RATIO_K1**2
+_RATIO_HALVES = (_RATIO_K1 - 0.5) / _RATIO_K1
+_STIRLING_ODD = np.arange(1.0, 2 * len(_GAMMA_RATIO_TERMS), 2.0)[:, None]
+_STIRLING_POWER = -0.5 * _STIRLING_ODD
+_STIRLING_COEFFICIENTS = np.array(_GAMMA_RATIO_TERMS)[:, None]
+_SHIFT_K = np.arange(_GAMMA_SHIFT, dtype=float)[:, None]
+_SHIFT_PRODUCTS = _SHIFT_K * (_SHIFT_K + 0.5)
 
 
 @dataclass(frozen=True)
@@ -107,13 +127,19 @@ class SpectralParameter:
 def envelope(r: float) -> float:
     """Uniform principal-series bound (r+1) exp(-r/2).
 
-    Within 1.5 ulps while exp(-r/2) is a normal double, up to r = 1416.8;
-    past it the factor is subnormal and keeps fewer digits, and the result
-    underflows to 0 from about r = 1504 on.
+    Within 1.5 ulps while exp(-r/2) is a normal double, up to r = 1416.8.
+    Past it that factor would be subnormal and keep fewer digits, so r + 1
+    is multiplied by exp(-r/4) twice instead, within 2.5 ulps up to
+    r = 1434.1, where the bounds stop.  The result underflows to 0 from
+    about r = 1504 on.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"envelope needs r >= 0, got {r}")
-    return (r + 1.0) * math.exp(-0.5 * r)
+    decay = math.exp(-0.5 * r)
+    if decay < sys.float_info.min:
+        quarter = math.exp(-0.25 * r)
+        return ((r + 1.0) * quarter) * quarter
+    return (r + 1.0) * decay
 
 
 def log_envelope(r: float) -> float:
@@ -175,46 +201,63 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
     Principal-series items with r >= _SERIES_MIN_R = 2 and s in
     _SERIES_S_WINDOW (so s > 0) are evaluated by the Harish-Chandra series
     first (_harish_chandra); each one whose error bound is at most
-    quad.abs_tol keeps that value.  The remaining items, all of them where
-    none takes the series, are integrated as one batch, as follows.
-    All items start on the same ceil(max sqrt(r) max(value, 1.5) / _PANEL_PHASE)
-    panels in t = u / sqrt(r), graded towards t = 1, where cos(s r (1 - t^2))
-    oscillates fastest (quadrature._panel_edges), so each item sees a
-    bounded stretch of the oscillation on each 31-node panel; for values
-    up to 1.5 that is one panel per 2 pi of u on average.  The panels of
-    items that miss quad.abs_tol are doubled, up to quadrature._MAX_PANELS
-    panels per pass, the first included.  Principal-series values at
-    one radius that form an arithmetic progression (every scan grid below
-    _SERIES_MIN_R) are summed as matrix products of shared exponential tables; every other
-    batch, including a batch of one, from integrand values at the nodes.
-    r = 0 gives the limit value 1.
+    quad.abs_tol keeps that value, and a batch at one radius that the
+    series takes whole, in one block, is the series' own array.  Of the
+    remaining items, principal-series values at one radius that form an
+    arithmetic progression, s = 0 included (every scan grid below
+    _SERIES_MIN_R), are integrated as matrix products of shared exponential
+    tables.  In every other batch, a batch of one included, items of value
+    0 take the closed form _phi_zero and the rest are integrated from
+    integrand values at the nodes.
+
+    Integrated items start on the same panels in t = u / sqrt(r), graded
+    towards t = 1, where cos(s r (1 - t^2)) oscillates fastest
+    (quadrature._panel_edges), as many as the largest item asks for: one
+    per _PANEL_PHASE max(1, sqrt(r)) of its phase s r, and at least
+    1.5 sqrt(r) / _PANEL_PHASE for the weight, rounded up.  From r = 1 on
+    that is sqrt(r) max(s, 1.5) / _PANEL_PHASE, one panel per 2 pi of u for
+    s up to 1.5; below r = 1, where s r < sqrt(r) s, it is fewer.  The
+    panels of items that miss quad.abs_tol are doubled, up to
+    quadrature._MAX_PANELS panels per pass, the first included.  r = 0
+    gives the limit value 1.
     """
     radii = np.asarray(radii, dtype=float)
     _check_radius(float(radii.min()))
     _check_radius(float(radii.max()))
-    out = np.ones(values.shape)
-    todo = np.broadcast_to(radii > 0.0, values.shape).copy()
+    blocks = ()
     if kind == PRINCIPAL:
         lo, hi = _SERIES_S_WINDOW
-        series = np.flatnonzero((radii >= _SERIES_MIN_R) & (values >= lo) & (values <= hi))
-        for start in range(0, series.size, _SERIES_BLOCK):
-            block = series[start:start + _SERIES_BLOCK]
-            got, bound = _harish_chandra(values[block], radii if radii.ndim == 0 else radii[block])
-            certified = bound <= quad.abs_tol
-            out[block[certified]] = got[certified]
-            todo[block[certified]] = False
+        window = (radii >= _SERIES_MIN_R) & (values >= lo) & (values <= hi)
+        if radii.ndim == 0 and 0 < values.size <= _SERIES_BLOCK and window.all():
+            got, bound = _harish_chandra(values, radii)
+            if np.all(bound <= quad.abs_tol):
+                return got
+            blocks = [(np.arange(values.size), got, bound)]
+        else:
+            blocks = _series_blocks(values, radii, np.flatnonzero(window))
+    out = np.ones(values.shape)
+    todo = np.broadcast_to(radii > 0.0, values.shape).copy()
+    for block, got, bound in blocks:
+        certified = bound <= quad.abs_tol
+        out[block[certified]] = got[certified]
+        todo[block[certified]] = False
     live = np.flatnonzero(todo)
+    v, r = values[live], (radii if radii.ndim == 0 else radii[live])
+    progression = (kind == PRINCIPAL and r.ndim == 0 and v.size > 1
+                   and np.array_equal(v, v[0] + np.arange(v.size) * (v[1] - v[0])))
+    zero = v == 0.0
+    if not progression and zero.any():
+        out[live[zero]] = _phi_zero(r if r.ndim == 0 else r[zero])
+        live, v, r = live[~zero], v[~zero], (r if r.ndim == 0 else r[~zero])
     if live.size == 0:
         return out
-    v, r = values[live], (radii if radii.ndim == 0 else radii[live])
-    panels = float(np.max(np.sqrt(r) * np.maximum(v, 1.5))) / _PANEL_PHASE
-    if kind == PRINCIPAL and r.ndim == 0 and v.size > 1:
-        step = v[1] - v[0]
-        if np.array_equal(v, v[0] + np.arange(v.size) * step):
-            out[live] = _cosine_progression(
-                v[0], step, v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
-                lambda t: _smooth_weight(t, r), panels, quad.abs_tol)[0]
-            return out
+    root = np.sqrt(r)
+    panels = float(np.max(root * np.maximum(v * np.minimum(root, 1.0), 1.5))) / _PANEL_PHASE
+    if progression:
+        out[live] = _cosine_progression(
+            v[0], v[1] - v[0], v.size, lambda t: r * ((1.0 - t) * (1.0 + t)),
+            lambda t: _smooth_weight(t, r), panels, quad.abs_tol)[0]
+        return out
     kernel = np.cos if kind == PRINCIPAL else np.cosh
 
     def integrand(items, t):
@@ -226,6 +269,32 @@ def _eigenvalue_batch(kind: str, values: np.ndarray, radii, quad: QuadratureSpec
 
     out[live] = integrate(integrand, v.size, panels, quad.abs_tol)[0]
     return out
+
+
+def _series_blocks(values: np.ndarray, radii: np.ndarray, items: np.ndarray):
+    """(items, values, bounds) of _harish_chandra over the given items, _SERIES_BLOCK at a time."""
+    for start in range(0, items.size, _SERIES_BLOCK):
+        block = items[start:start + _SERIES_BLOCK]
+        yield (block, *_harish_chandra(values[block], radii if radii.ndim == 0 else radii[block]))
+
+
+def _phi_zero(r):
+    """The eigenvalue at parameter 0, phi_0(r) = P_{-1/2}(cosh r) = 1 / AGM(1, cosh(r/2)), elementwise.
+
+    P_{-1/2}(cosh r) = (2/pi) sech(r/2) K(tanh(r/2)) with K the complete
+    elliptic integral of the first kind, and K(k) = pi / (2 AGM(1, k'))
+    with k' = sqrt(1 - k^2) = sech(r/2) (Gauss), so phi_0(r) =
+    1 / (cosh(r/2) AGM(1, sech(r/2))) = 1 / AGM(1, cosh(r/2)).  The two
+    means meet quadratically once they are close; _AGM_STEPS steps, a
+    count fixed for every r <= MAX_EVAL_RADIUS, keep each item's value
+    independent of its batch, and no product a b leaves double range
+    there.  Against 40-digit mpmath the result is within 4 ulps on
+    [0, 700], and exactly 1 where cosh(r/2) rounds to 1.
+    """
+    a, b = 1.0, np.cosh(0.5 * r)
+    for _ in range(_AGM_STEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return 1.0 / a
 
 
 def _harish_chandra(s: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +310,8 @@ def _harish_chandra(s: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     item sums n = max(2, ceil(_SERIES_DECAY / r)) terms, a count set by its
     radius alone, with q^n <= exp(-2 _SERIES_DECAY).  s > 0 lies in
     _SERIES_S_WINDOW, and r >= _SERIES_MIN_R is one radius or one per item.
+    The term ratios' tables (_RATIO_K1) hold the rows for r >= _SERIES_MIN_R;
+    a smaller r sums only as many terms, and its bound says so.
 
     All arithmetic is real and elementwise, complex products written out:
     NumPy may round a complex product differently in a batch of one, and
@@ -253,15 +324,16 @@ def _harish_chandra(s: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
     _SERIES_ROUNDING eps, for the rounding of the terms, their sum, c(s)
     and the phase, plus q^n for the terms left out.
     """
-    terms = np.maximum(2.0, np.ceil(_SERIES_DECAY / r))
+    terms = np.minimum(np.maximum(2.0, np.ceil(_SERIES_DECAY / r)), _RATIO_K1.size + 1.0)
     # the term ratios, one row per k, as q (k + 1/2) / (k + 1) times
     # (k + 1/2 - is) / (k + 1 - is) = 1 - (k + 1 + is) / (2 |k + 1 - is|^2),
     # and 0 from an item's own term count on
-    k = np.arange(np.max(terms) - 1.0)[:, None]
-    twice = 2.0 * ((k + 1.0) ** 2 + s * s)
-    re = 1.0 - (k + 1.0) / twice
+    rows = slice(int(np.max(terms)) - 1)
+    k1 = _RATIO_K1[rows]
+    twice = 2.0 * (_RATIO_K1_SQUARED[rows] + s * s)
+    re = 1.0 - k1 / twice
     im = -s / twice
-    factor = np.exp(-2.0 * r) * ((k + 0.5) / (k + 1.0)) * (k + 1.0 < terms)
+    factor = np.exp(-2.0 * r) * _RATIO_HALVES[rows] * (k1 < terms)
     re *= factor
     im *= factor
     # F = 1 + ratio_0 (1 + ratio_1 (1 + ...)) by Horner's rule
@@ -305,12 +377,10 @@ def _c_angle(s: np.ndarray) -> np.ndarray:
     -atan2(s / 2, s^2 + k (k + 1/2)), for k < _GAMMA_SHIFT.
     """
     w_angle = np.arctan2(s, _GAMMA_SHIFT)
-    odd = np.arange(1.0, 2 * len(_GAMMA_RATIO_TERMS), 2.0)[:, None]
-    stirling = np.exp(-0.5 * odd * np.log(_GAMMA_SHIFT**2 + s * s))
-    stirling *= np.sin(odd * w_angle)
-    stirling *= np.array(_GAMMA_RATIO_TERMS)[:, None]
-    k = np.arange(_GAMMA_SHIFT, dtype=float)[:, None]
-    shifts = np.arctan2(0.5 * s, s * s + k * (k + 0.5))
+    stirling = np.exp(_STIRLING_POWER * np.log(_GAMMA_SHIFT**2 + s * s))
+    stirling *= np.sin(_STIRLING_ODD * w_angle)
+    stirling *= _STIRLING_COEFFICIENTS
+    shifts = np.arctan2(0.5 * s, s * s + _SHIFT_PRODUCTS)
     return -0.5 * w_angle - _row_sum(stirling) - _row_sum(shifts)
 
 

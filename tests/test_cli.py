@@ -424,9 +424,10 @@ class TestInProcess:
         code, out, _ = run_main(capsys, "scan", "--r", "1.5", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 2001
-        # only the probe near s = 4/r, a batch of one, and the refinement
-        # sub-grids, one batch per level, use nodes; the grid rows do not
-        assert sizes[0] == 1 and set(sizes[1:]) == {33} and len(sizes) <= 1 + 7
+        # only the probe near s = 4/r, a batch of one, and the three
+        # 65-point refinement sub-grids, one batch per level, use nodes; the
+        # grid rows do not
+        assert sizes == [1, 65, 65, 65]
 
     @pytest.mark.parametrize("r", ["0.5", "4", "30"])
     def test_tighter_tol_refines_at_least_as_deep(self, r, monkeypatch, capsys):

@@ -74,9 +74,22 @@ class TestScanPrincipal:
         sizes = node_batch_sizes(monkeypatch)
         summary = scan_principal(1.5)
         assert summary.s_max_scanned == 100.0
-        # only the probe near s = 4/r, a batch of one, and the refinement
-        # sub-grids, one batch per level, use nodes
-        assert sizes[0] == 1 and set(sizes[1:]) == {33} and len(sizes) <= 1 + 7
+        # only the probe near s = 4/r, a batch of one, and the three
+        # 65-point refinement sub-grids, one batch per level, use nodes
+        assert sizes == [1, 65, 65, 65]
+
+    def test_prefix_below_r2_takes_the_matrix_path(self, monkeypatch):
+        # the kept prefix, s = 0 included, is one progression on 3 panels
+        # (one per 3 pi of the phase s r, 22.3 at s = 222.7); the node path
+        # sees only the probe and the two refinement sub-grids
+        calls = []
+        progression = spherical._cosine_progression
+        monkeypatch.setattr(spherical, "_cosine_progression",
+                            lambda *a: calls.append(a) or progression(*a))
+        sizes = node_batch_sizes(monkeypatch)
+        scan_principal(0.1)
+        assert [(c[0], c[2], math.ceil(c[5])) for c in calls] == [(0.0, 4455, 3)]
+        assert sizes == [1, 65, 65]
 
     def test_default_window(self):
         summary = scan_principal(0.5, s_max=None, grid_step=2.0)
@@ -270,7 +283,9 @@ class TestIntegrandWork:
     """
 
     SWEEP_RADII = [0.1, 0.5, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0]
-    SWEEP_FINEST = [8, 1, 1, 1, 1, 1, 1, 1, 1]
+    # 0 where no value is integrated: from r = 2 on, the series and the
+    # closed form for s = 0 take every value
+    SWEEP_FINEST = [3, 1, 0, 0, 0, 0, 0, 0, 0]
     CIRCLE_SITES = [(1.5, Point(0.7, 2.0)), (5.0, Point(-0.3, 0.8))]
     CIRCLE_PARAMS = [SpectralParameter.principal(0.5), SpectralParameter.principal(2.0),
                      SpectralParameter.principal(20.0), SpectralParameter.complementary(0.3)]
@@ -282,22 +297,33 @@ class TestIntegrandWork:
         for r in self.SWEEP_RADII:
             passes.clear()
             scan_principal(r)
-            finest.append(max(panels for _, panels in passes))
+            finest.append(max((panels for _, panels in passes), default=0))
             total += integrand_values(passes)
         assert all(f <= bound for f, bound in zip(finest, self.SWEEP_FINEST)), finest
-        # 1,122,324 on 15/31 panels, on the grid points the decay bound
-        # cannot rule out and the refinement sub-grids the curvature bound
-        # asks for: 1,111,040 and 11,067 at r = 0.1 and 0.5, and one panel
-        # for s = 0 at each radius from 2 on; 1,134,600 with seven
-        # refinement levels at every radius, 3,990,382 on the whole grids,
-        # 23,969,572 before the series, 38,250,075 on 7/15 panels
-        assert total <= 1_140_000
+        # 432,419 on 15/31 panels, on the grid points the decay bound cannot
+        # rule out and the refinement sub-grids the curvature bound asks
+        # for: 418,376 and 14,043 at r = 0.1 and 0.5, none from r = 2 on.
+        # 1,122,324 with the first pass sized by sqrt(r) s (8 panels at
+        # r = 0.1), s = 0 integrated and 33-point sub-grids; 1,134,600 with
+        # seven refinement levels at every radius, 3,990,382 on the whole
+        # grids, 23,969,572 before the series, 38,250,075 on 7/15 panels
+        assert total <= 434_500
         # from r = 2 on, the probe, the 41 to 4 kept grid points with s > 0
         # (42, 22, 14, 10, 8, 6 and 5 kept, s = 0 included) and the
-        # refinement sub-grids of 33 points, four levels at r = 2 to 15 and
-        # three at r = 20 and 30 (TestRefinementDepth); 7 * (1 + 7 * 33) +
-        # 100 = 1,724 with seven levels at every radius
-        assert sum(series) == 7 * 1 + (41 + 21 + 13 + 9 + 7 + 5 + 4) + 33 * (5 * 4 + 2 * 3)
+        # refinement sub-grids of 65 points, three levels at r = 2 to 20 and
+        # two at r = 30 (TestRefinementDepth); 965 with four and three
+        # levels of 33 points, and 7 * (1 + 7 * 33) + 100 = 1,724 with seven
+        # levels at every radius
+        assert sum(series) == 7 * 1 + (41 + 21 + 13 + 9 + 7 + 5 + 4) + 65 * (6 * 3 + 1 * 2)
+
+    def test_small_radius_scan(self, monkeypatch):
+        # the default window at r = 8e-4 is 1,000,001 points up to s = 5e4,
+        # all kept, on 5 panels for the phase s r = 40: 155,002,201 values,
+        # where 151 panels for sqrt(r) s took 4,681,020,522
+        passes = refine_passes(monkeypatch)
+        scan_principal(8e-4)
+        assert [items for items, _ in passes] == [1, 1_000_001, 65]
+        assert integrand_values(passes) <= 155_800_000
 
     def test_circle_verification(self, monkeypatch):
         passes, series = refine_passes(monkeypatch), series_items(monkeypatch)
@@ -349,7 +375,8 @@ def refinement_batches(monkeypatch) -> list[int]:
 
 def fixed_width_levels(curvature, grid_step, width, abs_tol):
     """The level count that takes the bracket to 1e-9 in s, whatever the curvature."""
-    return math.ceil(math.log(width / 1e-9, 16)) if width > 1e-9 else 0
+    narrowing = (spectrum._REFINE_POINTS - 1) / 2
+    return math.ceil(math.log(width / 1e-9, narrowing)) if width > 1e-9 else 0
 
 
 class TestRefinementDepth:
@@ -364,9 +391,10 @@ class TestRefinementDepth:
             batches.clear()
             scan_principal(r)
             levels.append(len(batches))
-        # [3, 3, 4, 4, 4, 4, 4, 3, 3]; 63, seven at every radius, when the
-        # bracket was refined to 1e-9 in s
-        assert sum(levels) <= 32, levels
+        # [2, 3, 3, 3, 3, 3, 3, 3, 2] with 65-point sub-grids; 32 with 33
+        # points, [3, 3, 4, 4, 4, 4, 4, 3, 3]; 63, seven at every radius,
+        # when the bracket was refined to 1e-9 in s
+        assert sum(levels) <= 25, levels
 
     @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])
     @pytest.mark.parametrize("r", [0.003, 0.1, 0.5, 2.0, 4.0, 10.0, 30.0, 50.0])

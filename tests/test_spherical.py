@@ -24,9 +24,11 @@ from spectral_chroma.spherical import (
     _decay_bound,
     _eigenvalue_batch,
     _harish_chandra,
+    _phi_zero,
     _smooth_weight,
 )
 from oracles import eigenvalue_ode, eigenvalue_ode_batch, legendre
+from test_spectrum import refine_passes
 
 # Frozen references, computed with 40-digit arithmetic from two independent
 # high-precision routes (hypergeometric evaluation of the conical Legendre
@@ -208,10 +210,15 @@ class TestPrincipalGrid:
     def test_degenerate_radius(self):
         assert np.all(principal_grid([0.0, 1.0, 5.0], 0.0) == 1.0)
 
+    @pytest.mark.parametrize("r", [0.0, 0.5, 4.0])
+    def test_empty_grid(self, r):
+        got = principal_grid([], r)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     @pytest.mark.parametrize("kind,values,radii", [
         (PRINCIPAL, [0.0, 1.0, 5.0, 20.0, 2.0, 0.5, 40.0], [0.0, 2.0, 1.0, 4.0, 0.0, 7.0, 0.3]),
         (COMPLEMENTARY, [0.0, 0.3, 0.5, 0.25, 0.1, 0.45], [0.5, 0.0, 3.0, 10.0, 30.0, 1e-6]),
-        # one shared panel misses abs_tol here, so both live items are refined
+        # s = 0 by its closed form beside an integrated item at another radius
         (PRINCIPAL, [0.5, 0.0, 1.0], [1.5, 2.3, 0.0]),
         # large s near r = 2, where the mpmath reference needs its Pfaff fallback
         (PRINCIPAL, [900.0, 1.0], [1.9, 0.5]),
@@ -280,6 +287,15 @@ class TestHarishChandra:
         with pytest.raises(ToleranceNotReached, match="round-off"):
             eigenvalue(SpectralParameter.principal(1.0), 4.0, QuadratureSpec(abs_tol=1e-20))
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.9])
+    def test_bound_holds_below_the_tables_radius(self, r):
+        # the term ratios' tables hold ten terms, all r >= 2 needs; a
+        # smaller r sums ten and its bound counts the rest as left out
+        s = np.array([0.3, 1.0, 3.0, 20.0])
+        values, bounds = _harish_chandra(s, np.float64(r))
+        for x, got, bound in zip(s, values, bounds):
+            assert abs(got - legendre(SpectralParameter.principal(x), r)) <= bound, x
+
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decay_bound_at_the_ends(self):
@@ -293,6 +309,62 @@ class TestHarishChandra:
             assert np.all(np.isfinite(scale)), r
         assert np.all(np.isinf(_decay_bound(s[:3], 5e-324)[1]))
         assert _decay_bound(s[-1], 1e-3)[1] == _decay_bound(s[-2], 1e-3)[1]
+
+
+class TestPhiZero:
+    """The parameter 0 by its closed form, 1 / AGM(1, cosh(r/2))."""
+
+    RADII = [0.0, 5e-324, 1e-310, 1e-200, 1e-8, 1e-3, 0.5, 1.0, 2.0, 10.0, 100.0, 359.86, 699.9, 700.0]
+
+    def test_matches_mpmath(self):
+        # principal(0) and complementary(0) are one value; against 40 digits
+        # the worst read 3 ulps on these radii and 3.8 on 600 random ones
+        mpmath = pytest.importorskip("mpmath")
+        radii = self.RADII + np.random.default_rng(205).uniform(0.0, 700.0, 60).tolist()
+        for r in radii:
+            with mpmath.workdps(40):
+                exact = float(mpmath.legenp(-0.5, 0, mpmath.cosh(mpmath.mpf(r)), type=3))
+            got = eigenvalue(SpectralParameter.principal(0.0), r)
+            assert got == eigenvalue(SpectralParameter.complementary(0.0), r), r
+            assert abs(got - exact) <= 4.0 * math.ulp(exact), r
+
+    def test_converged_by_its_step_count(self, monkeypatch):
+        # two steps fewer change no value, at the largest radius either
+        radii = np.array(self.RADII)
+        want = _phi_zero(radii)
+        monkeypatch.setattr(spherical, "_AGM_STEPS", spherical._AGM_STEPS - 2)
+        np.testing.assert_array_equal(_phi_zero(radii), want)
+
+    def test_item_equals_item_alone(self):
+        radii = np.array(self.RADII)
+        batch = _eigenvalue_batch(PRINCIPAL, np.zeros(radii.size), radii, DEFAULT_QUADRATURE)
+        for r, got in zip(radii, batch):
+            assert got == eigenvalue(SpectralParameter.principal(0.0), r), r
+
+    @pytest.mark.parametrize("kind,values,radii", [
+        (PRINCIPAL, [0.0], 4.0),
+        (PRINCIPAL, [0.0, 0.3, 7.0], 1.0),
+        (PRINCIPAL, [0.0, 0.5, 0.0, 30.0], [0.3, 0.3, 600.0, 1.5]),
+        (COMPLEMENTARY, [0.0, 0.3, 0.0], [0.5, 0.5, 700.0]),
+    ])
+    def test_no_zero_reaches_the_integral(self, monkeypatch, kind, values, radii):
+        # outside a progression every item of value 0 takes the closed
+        # form, and only the others are integrated
+        passes = refine_passes(monkeypatch)
+        values = np.array(values)
+        _eigenvalue_batch(kind, values, radii, DEFAULT_QUADRATURE)
+        assert (passes[0][0] if passes else 0) == np.count_nonzero(values)
+
+    def test_progression_keeps_its_zero(self, monkeypatch):
+        # an evenly spaced grid from s = 0 stays one progression: without
+        # its first point the rest is no longer one to the bit
+        calls = []
+        progression = spherical._cosine_progression
+        monkeypatch.setattr(spherical, "_cosine_progression", lambda *a: calls.append(a) or progression(*a))
+        s = np.arange(2001) * 0.05
+        principal_grid(s, 0.5)
+        assert [(c[0], c[2]) for c in calls] == [(0.0, 2001)]
+        assert not np.array_equal(s[1:], s[1] + np.arange(2000) * (s[2] - s[1]))
 
 
 class TestSmoothWeight:
@@ -333,6 +405,25 @@ class TestEnvelope:
             with mpmath.workdps(50):
                 error = abs(mpmath.mpf(envelope(r)) - (r + 1) * mpmath.exp(-mpmath.mpf(r) / 2))
             assert error <= math.ulp(envelope(r))
+
+    def test_subnormal_decay(self):
+        # past r = 1416.8, where exp(-r/2) is subnormal, the factor is taken
+        # as exp(-r/4) twice; against 50 digits the worst read 2.3 ulps here,
+        # where the single factor read up to 716
+        mpmath = pytest.importorskip("mpmath")
+        radii = np.r_[1416.7928370645283, 1416.8, 1434.1,
+                      np.random.default_rng(206).uniform(1416.8, 1434.1, 500)]
+        assert math.exp(-0.5 * radii[0]) < np.finfo(float).tiny
+        for r in radii:
+            with mpmath.workdps(50):
+                exact = (r + 1) * mpmath.exp(-mpmath.mpf(r) / 2)
+                error = abs(mpmath.mpf(envelope(r)) - exact)
+            assert error <= 3.0 * math.ulp(float(exact)), r
+
+    def test_normal_decay_unchanged(self):
+        # below the split the envelope is the single product, to the bit
+        for r in np.r_[0.0, 2.0, 700.0, 1416.79, np.random.default_rng(207).uniform(0.0, 1416.79, 200)]:
+            assert envelope(r) == (r + 1.0) * math.exp(-0.5 * r)
 
     def test_log_envelope_consistency(self):
         for r in (0.5, 2.0, 100.0):
